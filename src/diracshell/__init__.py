@@ -36,14 +36,12 @@ from .spectrum import (
     symmetry_partner,
 )
 from .fiber import (
-    FiberSolution,
     fiber_eigenvalue,
     kernel_at_zero_scan,
     matching_determinant,
     quasimode_residual,
 )
 from .greens import (
-    KernelPoint,
     SampledField,
     fourier_pair_check,
     green_kernel,
@@ -82,12 +80,10 @@ __all__ = [
     "full_spectrum",
     "symmetry_partner",
     "classify_point",
-    "FiberSolution",
     "matching_determinant",
     "fiber_eigenvalue",
     "kernel_at_zero_scan",
     "quasimode_residual",
-    "KernelPoint",
     "green_kernel",
     "pde_residual",
     "fourier_pair_check",

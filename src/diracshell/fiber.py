@@ -29,12 +29,11 @@ equivalent rescaled pair
 
 whose leading entries stay strictly positive across the whole gap; the
 fiber at -p is unitarily equivalent to the fiber at +p, so evaluating at
-|p| loses nothing.  FiberSolution still reports the textbook vectors.
+|p| loses nothing.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .tolerances import (
 )
 
 __all__ = [
-    "FiberSolution",
     "matching_determinant",
     "fiber_eigenvalue",
     "kernel_at_zero_scan",
@@ -56,39 +54,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiberSolution:
-    """Decaying-solution data of one fiber: the two boundary vectors and the
-    matching determinant of the transmission system."""
-
-    p: float
-    z: float
-    kappa: float
-    v_plus: tuple
-    v_minus: tuple
-    match_det: complex
-
-    @classmethod
-    def create(cls, params: ShellParams, p: float, z: float) -> "FiberSolution":
-        kappa = _kappa_in_gap(params.m, p, z)
-        v_plus = (p + kappa, z - params.m)
-        v_minus = (p - kappa, z - params.m)
-        return cls(p, z, kappa, v_plus, v_minus, matching_determinant(params, p, z))
-
-
-def _gap_halfwidth(m: float, p: float) -> float:
-    return math.hypot(p, m)
-
-
-def _kappa_in_gap(m: float, p: float, z: float) -> float:
-    """Decay rate for real z strictly inside the fiber gap."""
-    z = float(z)
-    half = _gap_halfwidth(m, p)
-    if not abs(z) < half:
+def _require_in_gap(m: float, p, z) -> None:
+    """Domain check: every real z lies strictly inside the fiber gap at its
+    p (broadcastable arrays)."""
+    p, z = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(z, dtype=float))
+    half = np.hypot(p, m)
+    outside = ~(np.abs(z) < half)
+    if np.any(outside):
+        p, z, half = (float(v[outside][0]) for v in (p, z, half))
         raise ValueError(
             f"z = {z!r} is outside the open fiber gap (-{half!r}, {half!r}) at p = {p!r}"
         )
-    return math.sqrt(p * p + m * m - z * z)
 
 
 def _match_det_raw(eta: float, m: float, p, z):
@@ -111,12 +87,14 @@ def _match_det_raw(eta: float, m: float, p, z):
     return a1 * b2 - a2 * b1
 
 
-def matching_determinant(params: ShellParams, p: float, z: float) -> complex:
+def matching_determinant(params: ShellParams, p, z):
     """Determinant of the transmission matching system at real z in the open
     fiber gap.  Vanishes exactly at fiber eigenvalues; at critical coupling
-    and z = 0 it vanishes identically in p (the flat band)."""
-    _kappa_in_gap(params.m, p, z)  # domain check
-    return complex(float(_match_det_raw(params.eta, params.m, p, z)))
+    and z = 0 it vanishes identically in p (the flat band).  p and z
+    broadcast: arrays give an array of determinants."""
+    _require_in_gap(params.m, p, z)
+    det = _match_det_raw(params.eta, params.m, p, z)
+    return complex(float(det)) if det.ndim == 0 else det.astype(complex)
 
 
 def fiber_eigenvalue(params: ShellParams, p: float):
@@ -129,7 +107,7 @@ def fiber_eigenvalue(params: ShellParams, p: float):
     """
     if params.critical or params.eta == 0.0:
         raise ValueError(f"no isolated fiber root for eta = {params.eta!r}")
-    half = _gap_halfwidth(params.m, p)
+    half = math.hypot(p, params.m)
     if half == 0.0:
         raise ValueError("empty fiber gap (m = 0 and p = 0)")
     top = half * (1.0 - FIBER_GAP_MARGIN)
@@ -170,11 +148,10 @@ def kernel_at_zero_scan(params: ShellParams, p_grid=None) -> float:
         raise ValueError(
             f"kernel scan requires critical coupling (eta = +/-2), got {params.eta!r}"
         )
-    grid = np.linspace(-50.0, 50.0, 2001) if p_grid is None else np.asarray(p_grid, float)
-    for p in (float(grid.min()), float(grid.max()), 0.0):
-        _kappa_in_gap(params.m, p, 0.0)  # z = 0 must sit inside every fiber gap
-    det = _match_det_raw(params.eta, params.m, grid, 0.0)
-    return float(np.max(np.abs(det)))
+    if params.m == 0.0:
+        raise ValueError("m = 0: z = 0 is the edge of the fiber gap at p = 0")
+    grid = np.linspace(-50.0, 50.0, 2001) if p_grid is None else p_grid
+    return float(np.max(np.abs(matching_determinant(params, grid, 0.0))))
 
 
 def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:

@@ -26,7 +26,6 @@ import numpy as np
 from .numerics import Mat2C, _ts_nodes, bessel_k, bessel_k01_ray, branch_sqrt, pauli
 
 __all__ = [
-    "KernelPoint",
     "green_kernel",
     "pde_residual",
     "fourier_pair_check",
@@ -55,24 +54,6 @@ def green_kernel(m: float, z: complex, x) -> Mat2C:
     angular = pauli(1).scale(x1 / r) + pauli(2).scale(x2 / r)
     mass = pauli(0).scale(z) + pauli(3).scale(m)
     return angular.scale(1j * a * k1 / _TWO_PI) + mass.scale(k0 / _TWO_PI)
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """Kernel matrix value together with the point it belongs to.
-
-    Finite for x != 0; entries diverge like log|x| (the K0 part) and like
-    1/|x| (the K1 part) as x -> 0.
-    """
-
-    z: complex
-    x: tuple
-    value: Mat2C
-
-    @classmethod
-    def create(cls, m: float, z: complex, x) -> "KernelPoint":
-        x = (float(x[0]), float(x[1]))
-        return cls(complex(z), x, green_kernel(m, z, x))
 
 
 def pde_residual(m: float, z: complex, x, h: float) -> Mat2C:
@@ -112,15 +93,6 @@ def _k01_batch(a: complex, x: np.ndarray, block: int = 16384):
     return np.concatenate(k0_parts), np.concatenate(k1_parts)
 
 
-def _k0_batch(kappa: float, x: np.ndarray, block: int = 4096) -> np.ndarray:
-    """K0(kappa x) over a positive array, evaluated in memory-bounded blocks."""
-    parts = []
-    for lo in range(0, x.size, block):
-        k0, _ = bessel_k01_ray(kappa, x[lo : lo + block])
-        parts.append(k0.real)
-    return np.concatenate(parts)
-
-
 def fourier_pair_check(kappa: float, p_grid=None) -> float:
     """Max relative error of the numerical cosine transform of K0(kappa|x|)
     against the closed form sqrt(pi/2) / sqrt(p^2 + kappa^2) over the grid.
@@ -154,7 +126,7 @@ def fourier_pair_check(kappa: float, p_grid=None) -> float:
     body_w = np.broadcast_to(half * gl_w, (n_chunk, 16)).ravel()
 
     x = np.concatenate([head_x, body_x])
-    w = np.concatenate([head_w, body_w]) * _k0_batch(kappa, x)
+    w = np.concatenate([head_w, body_w]) * _k01_batch(kappa, x, block=4096)[0].real
     transform = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(grid, x)) @ w)
     closed = math.sqrt(math.pi / 2.0) / np.sqrt(grid * grid + kappa * kappa)
     return float(np.max(np.abs(transform - closed) / closed))

@@ -1,5 +1,6 @@
 """Shared numerics: branch-correct square root, modified Bessel K0/K1 for
-complex argument, Pauli matrices and a small 2x2 complex matrix type.
+complex argument, tanh-sinh quadrature, Pauli matrices and a broadcasting
+2x2 complex matrix type.
 
 Conventions
 -----------
@@ -8,13 +9,17 @@ Conventions
   through it so the branch choice lives in exactly one spot.
 * bessel_k evaluates the Laplace-type representation
 
-      K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0,
+      K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0.
 
-  by adaptive double-exponential quadrature.  Arguments off the positive
-  real axis are handled by rotating the integration path onto the ray
-  Im t = -arg(w), which removes the oscillation of the integrand at
-  infinity.  No special-function library is involved, so the series and
-  asymptotic oracles used in the tests are genuinely independent checks.
+  On the positive real axis a trapezoid rule on the even integrand,
+  sharing one exponential table between both orders and between all
+  arguments of a batch, halves its step until it converges.  Off the axis
+  the path is bent onto the ray Im t = -arg(w), which removes the
+  oscillation of the integrand at infinity, and both pieces are integrated
+  by tanh-sinh quadrature.  No special-function library is involved, so
+  the mpmath oracle used in the tests is a genuinely independent check.
+* Mat2C holds a 2x2 matrix, or an array of them when its entries are
+  arrays; the symbol functions return it in both forms.
 """
 from __future__ import annotations
 
@@ -25,10 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import (
-    BESSEL_MAX_ARG,
-    BESSEL_TARGET_TOL,
-)
+from .tolerances import BESSEL_MAX_ARG, BESSEL_TARGET_TOL
 
 __all__ = [
     "branch_sqrt",
@@ -44,19 +46,29 @@ __all__ = [
 # branch-correct square root
 # ============================================================================
 
-def branch_sqrt(w: complex) -> complex:
+def _scalar_or_array(v, kind):
+    """v as a Python `kind` (float or complex) when it is a Python number,
+    else as an ndarray of that kind.  Scalars thus keep Python arithmetic,
+    whose last bits differ from numpy's complex operations."""
+    return kind(v) if isinstance(v, (int, float, complex)) else np.asarray(v, dtype=kind)
+
+
+def branch_sqrt(w):
     """Square root with branch cut (-inf, 0] and Re branch_sqrt(w) > 0.
 
-    Raises ValueError on the cut (Im w == 0 and Re w <= 0), where no root
-    with positive real part exists.
+    Works on a scalar (cmath) or elementwise on an array (numpy).  Raises
+    ValueError when an argument lies on the cut (Im w == 0 and Re w <= 0),
+    where no root with positive real part exists.
     """
-    w = complex(w)
-    if w.imag == 0.0 and w.real <= 0.0:
+    w = _scalar_or_array(w, complex)
+    on_cut = (w.imag == 0.0) & (w.real <= 0.0)
+    if np.count_nonzero(on_cut):
+        bad = complex(np.asarray(w)[on_cut][0])
         raise ValueError(
             "branch_sqrt uses the branch holomorphic on C \\ (-inf, 0] with "
-            f"Re > 0; argument {w!r} lies on the excluded half-line"
+            f"Re > 0; argument {bad!r} lies on the excluded half-line"
         )
-    return cmath.sqrt(w)
+    return cmath.sqrt(w) if isinstance(w, complex) else np.sqrt(w)
 
 
 # ============================================================================
@@ -90,22 +102,25 @@ def _ts_nodes(a, b, h, odd_only):
 def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-13, max_level: int = 12):
     """Adaptive tanh-sinh quadrature of f over the finite interval [a, b].
 
-    f must accept an ndarray of abscissas and return values (real or
-    complex) of the same shape; integrable endpoint singularities are
-    allowed.  Refinement halves the step and reuses previous evaluations;
-    iteration stops once two consecutive levels agree to rel_tol.
+    f maps an ndarray of abscissas to values (real or complex) whose last
+    axis runs over the abscissas; leading axes, if any, hold a batch of
+    integrands that share the nodes, as in the Bessel rays.  Integrable
+    endpoint singularities are allowed.  Refinement halves the step and
+    reuses previous evaluations; iteration stops once two consecutive
+    levels agree to rel_tol for every integrand of the batch.
     """
     h = 0.5
     x, wgt = _ts_nodes(a, b, h, False)
-    total = h * np.sum(wgt * f(x))
-    for _ in range(max_level):
-        h *= 0.5
-        x, wgt = _ts_nodes(a, b, h, True)
-        add = np.sum(wgt * f(x))
-        new_total = 0.5 * total + h * add
-        if abs(new_total - total) <= rel_tol * abs(new_total):
-            return new_total
-        total = new_total
+    with np.errstate(under="ignore"):
+        total = h * f(x) @ wgt
+        for _ in range(max_level):
+            h *= 0.5
+            x, wgt = _ts_nodes(a, b, h, True)
+            add = f(x) @ wgt
+            new_total = 0.5 * total + h * add
+            if np.all(np.abs(new_total - total) <= rel_tol * np.abs(new_total) + 1e-300):
+                return new_total
+            total = new_total
     return total
 
 
@@ -177,7 +192,7 @@ def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float = BESSEL_TARGET_T
         def f(s):
             return np.exp(-np.outer(w, np.cos(s))) * np.cos(nu * s)
 
-        return -1j * sgn * _tanh_sinh_rows(f, 0.0, aphi, rel_tol)
+        return -1j * sgn * tanh_sinh(f, 0.0, aphi, rel_tol, max_level=11)
 
     # horizontal ray: int_0^U exp(-w cosh(u - i phi)) cosh(nu (u - i phi)) du
     scale = float(np.min(np.abs(w))) * max(math.cos(phi) ** 2, 1e-12)
@@ -188,28 +203,11 @@ def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float = BESSEL_TARGET_T
             c = np.cosh(u - 1j * phi)
             return np.exp(-np.outer(w, c)) * np.cosh(nu * (u - 1j * phi))
 
-        return _tanh_sinh_rows(f, 0.0, u_max, rel_tol)
+        return tanh_sinh(f, 0.0, u_max, rel_tol, max_level=11)
 
     k0 = seg1(0) + seg2(0)
     k1 = seg1(1) + seg2(1)
     return k0, k1
-
-
-def _tanh_sinh_rows(f, a, b, rel_tol, max_level=11):
-    """tanh_sinh for integrands returning one row per batch element."""
-    h = 0.5
-    x, wgt = _ts_nodes(a, b, h, False)
-    with np.errstate(under="ignore"):
-        total = h * f(x) @ wgt
-        for _ in range(max_level):
-            h *= 0.5
-            x, wgt = _ts_nodes(a, b, h, True)
-            add = f(x) @ wgt
-            new_total = 0.5 * total + h * add
-            if np.all(np.abs(new_total - total) <= rel_tol * np.abs(new_total) + 1e-300):
-                return new_total
-            total = new_total
-    return total
 
 
 def _k01_ray(a: complex, r: np.ndarray):
@@ -259,13 +257,7 @@ def bessel_k(order: int, w: complex) -> complex:
         raise ValueError(
             f"bessel_k requires Re w > 0 (Laplace-type representation), got {w!r}"
         )
-    if abs(w) > BESSEL_MAX_ARG:
-        warnings.warn(
-            f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {abs(w):.3g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    k0, k1 = _k01_ray(w, np.array([1.0]))
+    k0, k1 = bessel_k01_ray(w, np.array([1.0]))
     out = (k0 if order == 0 else k1)[0]
     if w.imag == 0.0:
         return complex(out.real, 0.0)
@@ -278,7 +270,12 @@ def bessel_k(order: int, w: complex) -> complex:
 
 @dataclass(frozen=True)
 class Mat2C:
-    """2x2 complex matrix; exactly the algebra the boundary symbols need."""
+    """2x2 complex matrix; exactly the algebra the boundary symbols need.
+
+    Entries are scalars or ndarrays of one shape, in which case the value
+    stands for that array of matrices and every operation acts per matrix
+    by numpy broadcasting.  Scalar entries keep Python complex arithmetic.
+    """
 
     a11: complex
     a12: complex
@@ -291,12 +288,6 @@ class Mat2C:
 
     def det(self) -> complex:
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    def inv(self) -> "Mat2C":
-        d = self.det()
-        if d == 0:
-            raise ValueError("matrix is singular, no inverse")
-        return Mat2C(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
     def __add__(self, other: "Mat2C") -> "Mat2C":
         return Mat2C(
@@ -328,45 +319,19 @@ class Mat2C:
     def real_part(self) -> "Mat2C":
         """Entrywise real part (not the Hermitian part)."""
         return Mat2C(
-            complex(self.a11.real),
-            complex(self.a12.real),
-            complex(self.a21.real),
-            complex(self.a22.real),
+            *(_scalar_or_array(e.real, complex) for e in (self.a11, self.a12, self.a21, self.a22))
         )
 
-    def conj(self) -> "Mat2C":
-        return Mat2C(
-            self.a11.conjugate(),
-            self.a12.conjugate(),
-            self.a21.conjugate(),
-            self.a22.conjugate(),
-        )
-
-    def adjoint(self) -> "Mat2C":
-        return Mat2C(
-            self.a11.conjugate(),
-            self.a21.conjugate(),
-            self.a12.conjugate(),
-            self.a22.conjugate(),
-        )
-
-    def max_abs(self) -> float:
-        """Entrywise sup norm."""
-        return max(abs(self.a11), abs(self.a12), abs(self.a21), abs(self.a22))
-
-    def apply(self, v):
-        """Matrix-vector product on a length-2 sequence."""
-        return (
-            self.a11 * v[0] + self.a12 * v[1],
-            self.a21 * v[0] + self.a22 * v[1],
+    def max_abs(self):
+        """Entrywise sup norm, one value per matrix."""
+        return np.maximum(
+            np.maximum(abs(self.a11), abs(self.a12)), np.maximum(abs(self.a21), abs(self.a22))
         )
 
     def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=complex)
-
-    @classmethod
-    def from_array(cls, arr) -> "Mat2C":
-        return cls(complex(arr[0][0]), complex(arr[0][1]), complex(arr[1][0]), complex(arr[1][1]))
+        """The matrices as a complex ndarray of shape (..., 2, 2)."""
+        entries = np.broadcast_arrays(self.a11, self.a12, self.a21, self.a22)
+        return np.stack(entries, axis=-1).astype(complex).reshape(entries[0].shape + (2, 2))
 
 
 _PAULI = (

@@ -17,6 +17,10 @@ matrix.  This module evaluates those multiplier matrices:
 * limit_sup_table / limit_im_table -- boundary-value diagnostics of the
   inverse symbol as z approaches the real axis.
 
+Every symbol function broadcasts over the momentum p and the spectral
+parameter z: scalars give a Mat2C (or complex) in Python arithmetic, arrays
+give a Mat2C whose entries are arrays of that shape.
+
 Conventions: the unitary Fourier transform exp(-i p x)/sqrt(2 pi) along the
 shell direction; kappa = branch_sqrt(p^2 + m^2 - z^2) with Re kappa > 0,
 so decaying transverse modes always carry positive decay rate.  Flipping
@@ -31,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import Mat2C, branch_sqrt, pauli
+from .numerics import Mat2C, _scalar_or_array, branch_sqrt, pauli
 from .tolerances import SINGULAR_C_SCALE
 
 __all__ = [
@@ -101,25 +105,42 @@ class ShellParams:
 
 @dataclass(frozen=True)
 class SymbolPoint:
-    """Momentum p, spectral parameter z and the decay rate kappa they fix."""
+    """Momentum p, spectral parameter z and the decay rate kappa they fix;
+    scalars, or arrays for a batch of points."""
 
     p: float
     z: complex
     kappa: complex
 
     @classmethod
-    def create(cls, p: float, z: complex, m: float) -> "SymbolPoint":
-        """kappa = branch_sqrt(p^2 + m^2 - z^2); fails on the branch cut,
-        i.e. for real z with |z| >= sqrt(p^2 + m^2)."""
-        p = float(p)
-        z = complex(z)
-        kappa = branch_sqrt(p * p + m * m - z * z)
-        return cls(p, z, kappa)
+    def create(cls, p, z, m: float) -> "SymbolPoint":
+        """kappa = branch_sqrt(p^2 + m^2 - z^2), with p and z broadcast;
+        fails on the branch cut, i.e. for real z with |z| >= sqrt(p^2 + m^2)."""
+        p = _scalar_or_array(p, float)
+        z = _scalar_or_array(z, complex)
+        return cls(p, z, branch_sqrt(p * p + m * m - z * z))
 
 
 def _require_coupled(params: ShellParams) -> None:
     if params.eta == 0.0:
         raise ValueError("eta = 0 is the free operator; the boundary symbols are undefined")
+
+
+def _anchor(zeta) -> complex:
+    zeta = complex(zeta)
+    if zeta.imag == 0.0:
+        raise ValueError("anchor zeta must be non-real")
+    return zeta
+
+
+def _shell_scale(p):
+    """sqrt(p^2 + 1), the weight of the boundary symbols."""
+    return math.sqrt(p * p + 1.0) if isinstance(p, float) else np.sqrt(p * p + 1.0)
+
+
+def _shifted(params: ShellParams, chat: Mat2C, p) -> Mat2C:
+    """-sqrt(p^2+1) (sigma_0/eta + chat)."""
+    return (pauli(0).scale(1.0 / params.eta) + chat).scale(-_shell_scale(p))
 
 
 def default_anchor(params: ShellParams) -> complex:
@@ -142,38 +163,30 @@ def boundary_symbol(params: ShellParams, point: SymbolPoint) -> Mat2C:
     """-sqrt(p^2+1) (sigma_0/eta + Chat_z(p)); z is in the spectrum exactly
     when this matrix fails to be boundedly invertible over p."""
     _require_coupled(params)
-    s = math.sqrt(point.p * point.p + 1.0)
-    return (pauli(0).scale(1.0 / params.eta) + single_layer_symbol(params, point)).scale(-s)
+    return _shifted(params, single_layer_symbol(params, point), point.p)
 
 
-def reference_symbol(params: ShellParams, zeta: complex, p: float) -> Mat2C:
+def reference_symbol(params: ShellParams, zeta: complex, p) -> Mat2C:
     """z-independent anchor symbol: the entrywise real part of Chat at a
     fixed non-real anchor zeta, scaled like the boundary symbol."""
     _require_coupled(params)
-    zeta = complex(zeta)
-    if zeta.imag == 0.0:
-        raise ValueError("anchor zeta must be non-real")
-    point = SymbolPoint.create(p, zeta, params.m)
-    re_chat = single_layer_symbol(params, point).real_part()
-    s = math.sqrt(p * p + 1.0)
-    return (pauli(0).scale(1.0 / params.eta) + re_chat).scale(-s)
+    point = SymbolPoint.create(p, _anchor(zeta), params.m)
+    return _shifted(params, single_layer_symbol(params, point).real_part(), point.p)
 
 
-def weyl_symbol(params: ShellParams, z: complex, zeta: complex, p: float) -> Mat2C:
+def weyl_symbol(params: ShellParams, z, zeta: complex, p) -> Mat2C:
     """sqrt(p^2+1) (Chat_z(p) - Re Chat_zeta(p)): the z-dependent part split
     off by the anchor.  reference_symbol - weyl_symbol = boundary_symbol for
     every admissible anchor."""
     _require_coupled(params)
-    z = complex(z)
-    zeta = complex(zeta)
-    if zeta.imag == 0.0:
-        raise ValueError("anchor zeta must be non-real")
-    if z.imag == 0.0 and abs(z.real) >= abs(params.m):
+    zeta = _anchor(zeta)
+    z = _scalar_or_array(z, complex)
+    if np.count_nonzero((z.imag == 0.0) & (abs(z.real) >= abs(params.m))):
         raise ValueError("real z must lie in the spectral gap (|z| < |m|)")
     pt_z = SymbolPoint.create(p, z, params.m)
     pt_a = SymbolPoint.create(p, zeta, params.m)
     diff = single_layer_symbol(params, pt_z) - single_layer_symbol(params, pt_a).real_part()
-    return diff.scale(math.sqrt(p * p + 1.0))
+    return diff.scale(_shell_scale(pt_z.p))
 
 
 def boundary_det(params: ShellParams, point: SymbolPoint) -> complex:
@@ -203,23 +216,26 @@ def boundary_symbol_inverse(params: ShellParams, point: SymbolPoint) -> Mat2C:
                                   [-eta p,             2 kappa + eta(z+m)]].
 
     Raises SingularSymbolError when |c| falls below the relative threshold
-    SINGULAR_C_SCALE * (1 + |z| + |p|): the point is (numerically) spectral.
+    SINGULAR_C_SCALE * (1 + |z| + |p|) at any of the points: such a point
+    is (numerically) spectral.
     """
     _require_coupled(params)
     eta = params.eta
     m = params.m
     c = dispersion_function(params, point)
-    if abs(c) <= SINGULAR_C_SCALE * (1.0 + abs(point.z) + abs(point.p)):
+    singular = abs(c) <= SINGULAR_C_SCALE * (1.0 + abs(point.z) + abs(point.p))
+    if np.count_nonzero(singular):
+        p, z, singular = np.broadcast_arrays(point.p, point.z, singular)
         raise SingularSymbolError(
-            f"dispersion function vanishes at p={point.p!r}, z={point.z!r}: "
-            "the boundary symbol has no inverse there"
+            f"dispersion function vanishes at p={float(p[singular][0])!r}, "
+            f"z={complex(z[singular][0])!r}: the boundary symbol has no inverse there"
         )
-    pref = -2.0 * eta / (c * math.sqrt(point.p * point.p + 1.0))
-    off = -eta * point.p
+    pref = -2.0 * eta / (c * _shell_scale(point.p))
+    off = pref * (-eta * point.p)
     return Mat2C(
         pref * (2.0 * point.kappa + eta * (point.z - m)),
-        pref * off,
-        pref * off,
+        off,
+        off,
         pref * (2.0 * point.kappa + eta * (point.z + m)),
     )
 
@@ -279,20 +295,6 @@ def hybrid_grid(p_min: float = -100.0, p_max: float = 100.0, count: int = 4001) 
     return np.sort(np.concatenate([lin, pos, neg]))
 
 
-def _inverse_entries(eta: float, m: float, z: complex, p: np.ndarray):
-    """Entries (11, 12, 22) of the inverse boundary symbol over an array of
-    momenta; vector twin of boundary_symbol_inverse for the diagnostics."""
-    p = np.asarray(p, dtype=float)
-    kappa = np.sqrt(p * p + (m * m - z * z) + 0j)
-    c = (4.0 - eta * eta) * kappa + 4.0 * eta * z
-    pref = -2.0 * eta / (c * np.sqrt(p * p + 1.0))
-    return (
-        pref * (2.0 * kappa + eta * (z - m)),
-        pref * (-eta * p),
-        pref * (2.0 * kappa + eta * (z + m)),
-    )
-
-
 def _check_y_list(y_list) -> tuple:
     ys = tuple(float(y) for y in y_list)
     if not ys or any(y <= 0.0 for y in ys):
@@ -307,9 +309,14 @@ def limit_sup_table(params: ShellParams, x: float, y_list=DEFAULT_SUP_Y, p_grid=
     at z = x + i y, entrywise sup norm.
 
     For x on the essential spectrum the true sup over all real p does not
-    vanish when the dispersion function has real zeros, but the sampled sup
-    decays linearly in y at every fixed momentum node, which is the
-    strong-resolvent statement this table diagnoses.  Requires |x| >= |m|.
+    vanish when the dispersion function has real zeros: at a critical
+    momentum pc the inverse grows like 1/y.  At a fixed node p the product
+    behaves like y / (y + |p - pc|), so it decays linearly in y only once y
+    is well below the node's distance from pc.  The table therefore leaves
+    out the two nodes of every grid cell (consecutive nodes of the sorted
+    grid) that contains a critical momentum; over the remaining nodes the
+    sampled sup decays linearly in y, which is the strong-resolvent
+    statement this table diagnoses.  Requires |x| >= |m|.
     """
     _require_coupled(params)
     x = float(x)
@@ -319,11 +326,20 @@ def limit_sup_table(params: ShellParams, x: float, y_list=DEFAULT_SUP_Y, p_grid=
     grid = hybrid_grid() if p_grid is None else np.asarray(p_grid, dtype=float)
     if grid.size < 2:
         raise ValueError("p grid needs at least 2 nodes")
+    crit = critical_momenta(params, x)
+    if crit is not None:
+        pc = np.array(crit)[:, None]
+        cell = np.any((grid[:-1] <= pc) & (pc <= grid[1:]), axis=0)
+        keep = np.ones(grid.size, dtype=bool)
+        keep[:-1] &= ~cell
+        keep[1:] &= ~cell
+        grid = grid[keep]
+        if grid.size == 0:
+            raise ValueError("every grid node borders a critical momentum")
     rows = []
     for y in ys:
-        e11, e12, e22 = _inverse_entries(params.eta, params.m, complex(x, y), grid)
-        sup = np.max(np.maximum(np.abs(e11), np.maximum(np.abs(e12), np.abs(e22))))
-        rows.append((y, y * float(sup)))
+        inv = boundary_symbol_inverse(params, SymbolPoint.create(grid, complex(x, y), params.m))
+        rows.append((y, y * float(np.max(inv.max_abs()))))
     return rows
 
 
@@ -356,11 +372,7 @@ def limit_im_table(params: ShellParams, x: float, interval, y_list=DEFAULT_IM_Y,
     grid = np.linspace(a, b, n_nodes)
     rows = []
     for y in ys:
-        e11, e12, e22 = _inverse_entries(params.eta, params.m, complex(x, y), grid)
-        top = np.max(
-            np.maximum(
-                np.abs(e11.imag), np.maximum(np.abs(e12.imag), np.abs(e22.imag))
-            )
-        )
-        rows.append((y, float(top)))
+        inv = boundary_symbol_inverse(params, SymbolPoint.create(grid, complex(x, y), params.m))
+        # inv - Re inv = i Im inv exactly, so this is the entrywise max |Im|
+        rows.append((y, float(np.max((inv - inv.real_part()).max_abs()))))
     return rows

@@ -203,9 +203,12 @@ def test_criterion_5_symbol_identities():
 # ----------------------------------------------------------------------------
 
 def test_criterion_6_boundary_limit_diagnostics():
-    m = 1.0
-    for eta in (1.0, 2.0):
-        params = ShellParams(eta, m)
+    # at x = +-m, the couplings after the first two put a critical momentum
+    # (a real zero of the dispersion function) next to a node of the grid
+    cases = (("1", "1"), ("2", "1"), ("3", "1"), ("-4/3", "1"), ("10", "1"), ("6", "2"))
+    for eta, mass in cases:
+        params = ShellParams.from_decimal(eta, mass)
+        m = params.m
         for x in (m, -m, 1.5 * m, -1.5 * m):
             rows = limit_sup_table(params, x)  # rows of (y, y * sup)
             assert rows[0][0] == 1e-1 and rows[-1][0] == 1e-5

@@ -180,6 +180,83 @@ def test_symbol_eval_requires_z(capsys):
     assert code == 2
 
 
+# Whole documents of small invocations, whitespace removed; every float is
+# written with 17 significant digits, so these pin the bytes of the values.
+FROZEN_DOCUMENTS = {
+    'symbol_complex_z': (
+        '{"schema":"dirac-shell/1","eta":1,"m":1,"z":[0.5,0.5],"zeta":null,"rows":[{"'
+        'p":-1,"theta":{"a11":[-2.117310996505557,-0.33465364290140476],"a12":[0.4887'
+        '891890597581,0.060172698914350481],"a21":[0.4887891890597581,0.0601726989143'
+        '50481],"a22":[-1.1397326183860408,-0.2143082450727038]},"det":[2.10615525342'
+        '03893,0.77634934719892401],"dispersion":[6.2751593721918413,1.47370383087111'
+        '86],"inv_max_abs":0.95496490052601701},{"p":2,"theta":{"a11":[-2.97085333253'
+        '90865,-0.28633673515813096],"a12":[-0.9962771201104087,-0.049689940174038431'
+        '],"a21":[-0.9962771201104087,-0.049689940174038431],"a22":[-1.97457621242867'
+        '79,-0.23664679498409258]},"det":[4.8083166404837741,1.1694267245108221],"dis'
+        'persion":[8.7165631201919034,1.665007242582764],"inv_max_abs":0.603138633441'
+        '81684}]}'
+    ),
+    'symbol_zeta': (
+        '{"schema":"dirac-shell/1","eta":3,"m":1,"z":[0.20000000000000001,0.100000000'
+        '00000001],"zeta":[0,2],"rows":[{"p":0,"theta":{"a11":[-0.941107391798917,-0.'
+        '063282626044685666],"a12":[-0,0],"a21":[-0,0],"a22":[0.073592101667523113,-0'
+        '.042369873759079579]},"det":[-0.071939347733979753,0.035217499934588413],"di'
+        'spersion":[-2.525475093769356,1.3015130501080987],"inv_max_abs":11.776117840'
+        '953788,"reference":{"a11":[-0.55694013108331231,0],"a12":[-0,0],"a21":[-0,0]'
+        ',"a22":[-0.10972653558335435,0]},"weyl":{"a11":[0.38416726071560481,0.063282'
+        '626044685666],"a12":[0,0],"a21":[0,0],"a22":[-0.18331863725087746,0.04236987'
+        '3759079579]}},{"p":1,"theta":{"a11":[-1.0753510165369125,-0.0565074810616950'
+        '99],"a12":[-0.50371485724222509,-0.0051133294478938173],"a21":[-0.5037148572'
+        '4222509,-0.0051133294478938173],"a22":[-0.06792130205246219,-0.0462808221659'
+        '07461]},"det":[-0.18327848274394637,0.048454870825931237],"dispersion":[-4.6'
+        '181960373765234,1.2712433789733391],"inv_max_abs":5.6802412278346885,"refere'
+        'nce":{"a11":[-0.76007965538584454,0],"a12":[-0.28867513459481292,0],"a21":[-'
+        '0.28867513459481292,0],"a22":[-0.18272938619621876,0]},"weyl":{"a11":[0.3152'
+        '713611510678,0.056507481061695099],"a12":[0.2150397226474122,0.0051133294478'
+        '938173],"a21":[0.2150397226474122,0.0051133294478938173],"a22":[-0.114808084'
+        '14375655,0.046280822165907461]}}]}'
+    ),
+    'symbol_singular': (
+        '{"schema":"dirac-shell/1","eta":1,"m":1,"z":[-0.59999999999999998,0],"zeta":'
+        'null,"rows":[{"p":0,"theta":{"a11":[-1.25,0],"a12":[-0,0],"a21":[-0,0],"a22"'
+        ':[-0,0]},"det":[1.1102230246251565e-16,0],"dispersion":[4.4408920985006262e-'
+        '16,0],"inv_max_abs":null},{"p":1,"theta":{"a11":[-1.6350766145227884,0],"a12'
+        '":[-0.55215763037423271,0],"a21":[-0.55215763037423271,0],"a22":[-0.53076135'
+        '377432265,0]},"det":[0.56295742866836385,0],"dispersion":[1.4418745424597095'
+        ',0],"inv_max_abs":2.9044409599327023}]}'
+    ),
+    'greens_imag': (
+        '{"schema":"dirac-shell/1","m":1,"z":[0,0.5],"x":[1,0],"kernel":{"a11":[0.056'
+        '745511913098304,0.028372755956549152],"a12":[0,0.088094690833147651],"a21":['
+        '0,0.088094690833147651],"a22":[-0.056745511913098304,0.028372755956549152]}}'
+    ),
+    'greens_complex': (
+        '{"schema":"dirac-shell/1","m":1,"z":[0.29999999999999999,0.5],"x":[0.5,-0.25'
+        '],"kernel":{"a11":[0.14940868656805362,0.08081355112385602],"a12":[-0.108297'
+        '15117334152,0.19362258155137699],"a21":[0.089919774537096681,0.2028112698694'
+        '9941],"a22":[-0.09248622899936669,0.04952151692077765]}}'
+    ),
+}
+
+FROZEN_ARGV = {
+    "symbol_complex_z": ("symbol-eval", "--eta", "1", "--m", "1", "--z", "0.5+0.5j",
+                         "--p-min", "-1", "--p-max", "2", "--p-count", "2"),
+    "symbol_zeta": ("symbol-eval", "--eta", "3", "--m", "1", "--z", "0.2+0.1j", "--zeta", "2j",
+                    "--p-min", "0", "--p-max", "1", "--p-count", "2"),
+    "symbol_singular": ("symbol-eval", "--eta", "1", "--m", "1", "--z", "-0.6",
+                        "--p-min", "0", "--p-max", "1", "--p-count", "2"),
+    "greens_imag": ("greens-eval", "--m", "1", "--z", "0.5j"),
+    "greens_complex": ("greens-eval", "--m", "1", "--z", "0.3+0.5j", "--x1", "0.5", "--x2", "-0.25"),
+}
+
+
+def test_symbol_and_greens_documents_frozen(capsys):
+    for name, argv in FROZEN_ARGV.items():
+        code, out = run(capsys, *argv)
+        assert code == 0, name
+        assert "".join(out.split()) == "".join(FROZEN_DOCUMENTS[name]), name
+
+
 def test_greens_eval_document_and_domain(capsys):
     code, out = run(capsys, "greens-eval", "--m", "1", "--z", "0.5j",
                     "--x1", "1", "--x2", "0")
@@ -276,3 +353,37 @@ def test_scientific_notation_criticality(capsys):
     code, out = run(capsys, "band-edges", "--eta", "2e0", "--m", "1")
     assert code == 0
     assert json.loads(out)["side"] == "flat-band"
+
+
+def test_negative_values_parse_without_equals_sign(capsys):
+    # a value starting with '-' must not be read as an option
+    for eta in ("-4/3", "-1e-1"):
+        code, out = run(capsys, "band-edges", "--eta", eta, "--m", "1")
+        assert code == 0, eta
+        _, joined = run(capsys, "band-edges", f"--eta={eta}", "--m", "1")
+        assert out == joined
+    code, out = run(capsys, "greens-eval", "--m", "1", "--z", "-0.5+0.1j")
+    assert code == 0
+    assert json.loads(out)["z"] == [-0.5, 0.1]
+    code, _ = run(capsys, "verify", "--suite", "oracle", "--eta", "-4/3", "--m", "1")
+    assert code == 0
+
+
+def test_non_finite_numbers_are_usage_errors(capsys):
+    cases = (
+        ("greens-eval", "--m", "1", "--z", "nan"),
+        ("greens-eval", "--m", "1", "--z", "inf+1j"),
+        ("greens-eval", "--m", "1", "--z", "1e400j"),
+        ("greens-eval", "--m", "inf", "--z", "0.5j"),
+        ("greens-eval", "--m", "1", "--z", "0.5j", "--x1", "nan"),
+        ("greens-eval", "--m", "1", "--z", "0.5j", "--x2", "inf"),
+        ("spectrum", "--eta", "1e400", "--m", "1"),
+        ("band-edges", "--eta", "1", "--m", "1e400"),
+        ("quasimode", "--eta", "1", "--m", "1", "--p0", "nan"),
+        ("quasimode", "--eta", "1", "--m", "1", "--width", "inf"),
+        ("symbol-eval", "--eta", "1", "--m", "1", "--z", "0.5j", "--p-max", "inf"),
+    )
+    for argv in cases:
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""

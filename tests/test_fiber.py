@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from diracshell.fiber import (
-    FiberSolution,
     fiber_eigenvalue,
     kernel_at_zero_scan,
     matching_determinant,
     quasimode_residual,
 )
-from diracshell.numerics import Mat2C, pauli
+from diracshell.numerics import pauli
 from diracshell.spectrum import dispersion_energy, sign_condition
 from diracshell.symbol import ShellParams
 from diracshell.tolerances import (
@@ -71,30 +70,32 @@ def _fiber_matrix(p, kappa, m, side):
 
 
 def test_fiber_solution_eigenvector_residuals():
+    # the textbook decaying solutions (p +/- kappa, z - m) on the two half-lines
     rng = np.random.default_rng(71)
-    for _ in range(200):
-        m = rng.uniform(-2.0, 2.0)
-        if abs(m) < 0.05:
-            continue
-        par = ShellParams(rng.uniform(0.3, 3.0), m)
-        p = rng.uniform(-6.0, 6.0)
-        half = math.hypot(p, m)
-        z = rng.uniform(-0.95, 0.95) * half
-        sol = FiberSolution.create(par, p, z)
-        assert sol.kappa > 0.0
-        assert sol.v_plus == (p + sol.kappa, z - m)
-        assert sol.v_minus == (p - sol.kappa, z - m)
-        scale = 1.0 + abs(p) + abs(z) + sol.kappa
-        for side, v in ((1.0, sol.v_plus), (-1.0, sol.v_minus)):
-            vec = np.array(v, dtype=complex)
-            res = _fiber_matrix(p, sol.kappa, m, side).apply(vec) - z * vec
-            assert np.max(np.abs(res)) <= 1e-12 * scale * scale
+    m = rng.uniform(0.05, 2.0, 200) * rng.choice([-1.0, 1.0], 200)
+    p = rng.uniform(-6.0, 6.0, 200)
+    z = rng.uniform(-0.95, 0.95, 200) * np.hypot(p, m)
+    kappa = np.sqrt(p * p + m * m - z * z)
+    assert np.all(kappa > 0.0)
+    scale = 1.0 + np.abs(p) + np.abs(z) + kappa
+    for side in (1.0, -1.0):
+        vec = np.stack([p + side * kappa, z - m], axis=-1)[..., None]
+        mats = _fiber_matrix(p, kappa, m, side).as_array()
+        res = (mats @ vec)[..., 0] - z[:, None] * vec[..., 0]
+        assert np.all(np.max(np.abs(res), axis=-1) <= 1e-12 * scale * scale)
 
 
-def test_fiber_solution_carries_matching_det():
-    par = ShellParams.from_decimal("2.5", "1")
-    sol = FiberSolution.create(par, 0.0, 0.0)
-    assert sol.match_det == matching_determinant(par, 0.0, 0.0)
+def test_matching_determinant_broadcasts():
+    par = ShellParams.from_decimal("1.5", "1")
+    p = np.array([0.0, 0.5, 3.0])[:, None]
+    z = np.array([-0.7, 0.0, 0.4])
+    det = matching_determinant(par, p, z)
+    assert det.shape == (3, 3)
+    for i in range(3):
+        for j in range(3):
+            assert det[i, j] == matching_determinant(par, float(p[i, 0]), float(z[j]))
+    with pytest.raises(ValueError):
+        matching_determinant(par, p, np.array([0.0, 1.0]))  # z = 1 is a gap endpoint at p = 0
 
 
 # ----------------------------------------------------------------------------

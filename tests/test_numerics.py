@@ -109,26 +109,42 @@ def test_tanh_sinh_smooth_and_singular_integrands():
 # Mat2C and the Pauli basis
 # ----------------------------------------------------------------------------
 
-def _random_mat(rng):
-    e = rng.standard_normal(8)
-    return Mat2C(
-        complex(e[0], e[1]), complex(e[2], e[3]), complex(e[4], e[5]), complex(e[6], e[7])
-    )
+def _random_mats(rng, n):
+    """n random matrices as one Mat2C with array entries."""
+    e = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    return Mat2C(*e)
 
 
 def test_mat2c_algebra_identities():
     rng = np.random.default_rng(23)
-    eye = Mat2C.identity()
-    for _ in range(50):
-        a = _random_mat(rng)
-        b = _random_mat(rng)
-        assert abs((a @ b).det() - a.det() * b.det()) <= 1e-12 * max(1.0, abs(a.det() * b.det()))
-        assert ((a @ a.inv()) - eye).max_abs() <= 1e-12 * max(1.0, a.max_abs())
-        assert ((a + b) - b - a).max_abs() <= 1e-15 * (a.max_abs() + b.max_abs())
-        assert ((a @ b).adjoint() - (b.adjoint() @ a.adjoint())).max_abs() == 0.0
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.allclose(a.apply(v), a.as_array() @ v, rtol=0, atol=1e-13)
-        assert (Mat2C.from_array(a.as_array()) - a).max_abs() == 0.0
+    a = _random_mats(rng, 50)
+    b = _random_mats(rng, 50)
+    ab = a @ b
+    assert np.all(np.abs(ab.det() - a.det() * b.det()) <= 1e-12 * np.maximum(1.0, np.abs(a.det() * b.det())))
+    assert np.all(((a + b) - b - a).max_abs() <= 1e-15 * (a.max_abs() + b.max_abs()))
+    assert np.all((a @ Mat2C.identity() - a).max_abs() == 0.0)
+    assert np.all((Mat2C.identity() @ a - a).max_abs() == 0.0)
+    # the array path agrees with numpy's stacked matrix algebra
+    arr_a, arr_b = a.as_array(), b.as_array()
+    assert arr_a.shape == (50, 2, 2)
+    assert np.allclose(ab.as_array(), arr_a @ arr_b, rtol=0.0, atol=1e-14)
+    assert np.allclose((a - b).as_array(), arr_a - arr_b, rtol=0.0, atol=0.0)
+    assert np.allclose(a.det(), np.linalg.det(arr_a), rtol=1e-13, atol=0.0)
+    # each matrix of the stack matches the scalar computation; numpy's
+    # complex array products may differ from Python's in the last bit
+    for i in range(50):
+        ai = Mat2C(*(complex(e[i]) for e in (a.a11, a.a12, a.a21, a.a22)))
+        bi = Mat2C(*(complex(e[i]) for e in (b.a11, b.a12, b.a21, b.a22)))
+        scale = ab.max_abs()[i]
+        assert np.max(np.abs((ai @ bi).as_array() - ab.as_array()[i])) <= 1e-15 * scale
+        assert abs((ai @ bi).max_abs() - scale) <= 1e-15 * scale
+
+
+def test_mat2c_scalar_entries_stay_python_numbers():
+    g = pauli(1).scale(0.3) + pauli(3) @ pauli(2).scale(1j)
+    assert all(type(e) is complex for e in (g.a11, g.a12, g.a21, g.a22))
+    assert g.as_array().shape == (2, 2)
+    assert g.real_part().a11 == complex(g.a11.real)
 
 
 def test_pauli_relations():

@@ -153,6 +153,65 @@ def test_inverse_refuses_spectral_points():
 
 
 # ----------------------------------------------------------------------------
+# broadcasting: one array call equals the scalar calls point by point
+# ----------------------------------------------------------------------------
+
+def _entries(v):
+    if isinstance(v, Mat2C):
+        return np.stack(np.broadcast_arrays(v.a11, v.a12, v.a21, v.a22), axis=-1)
+    return np.asarray(v)[..., None]
+
+
+def _assert_pointwise(batch, scalar_at, shape, scale_at=None):
+    """Entrywise agreement to 1e-15 relative to the largest entry, or to
+    scale_at(idx) for a value formed by cancellation."""
+    got = _entries(batch)
+    assert got.shape[:-1] == shape
+    for idx in np.ndindex(*shape):
+        want = _entries(scalar_at(idx))
+        scale = np.max(np.abs(want)) if scale_at is None else scale_at(idx)
+        assert np.all(np.abs(got[idx] - want) <= 1e-15 * scale), idx
+
+
+def test_symbol_functions_broadcast_over_p_and_z():
+    rng = np.random.default_rng(61)
+    p = rng.uniform(-10.0, 10.0, (5, 1))
+    z = np.array([_random_gap_z(rng) for _ in range(4)] + [0.3 + 0.0j])
+    shape = (5, 5)
+    for eta, m in (("1", "1"), ("-4/3", "0.5"), ("2", "2")):
+        par = ShellParams.from_decimal(eta, m)
+        zeta = default_anchor(par)
+        batch = SymbolPoint.create(p, z, par.m)
+
+        def point(idx):
+            return SymbolPoint.create(float(p[idx[0], 0]), complex(z[idx[1]]), par.m)
+
+        _assert_pointwise(batch.kappa, lambda i: point(i).kappa, shape)
+        for fn in (single_layer_symbol, boundary_symbol, boundary_det, dispersion_function,
+                   boundary_symbol_inverse):
+            _assert_pointwise(fn(par, batch), lambda i: fn(par, point(i)), shape)
+        # the Weyl symbol is a difference of two terms of the size of the
+        # reference symbol
+        _assert_pointwise(
+            weyl_symbol(par, z, zeta, p),
+            lambda i: weyl_symbol(par, z[i[1]], zeta, p[i[0], 0]),
+            shape,
+            lambda i: reference_symbol(par, zeta, p[i[0], 0]).max_abs(),
+        )
+        _assert_pointwise(
+            reference_symbol(par, zeta, p[:, 0]), lambda i: reference_symbol(par, zeta, p[i[0], 0]), (5,)
+        )
+
+
+def test_array_inverse_refuses_any_spectral_point():
+    par = ShellParams.from_decimal("1", "1")
+    with pytest.raises(SingularSymbolError, match="p=0.0"):
+        boundary_symbol_inverse(par, SymbolPoint.create(np.array([1.0, 0.0, 2.0]), -0.6, 1.0))
+    with pytest.raises(ValueError):
+        SymbolPoint.create(np.array([0.0, 3.0]), 2.0, 1.0)  # z = 2 on the cut at p = 0
+
+
+# ----------------------------------------------------------------------------
 # anchor split
 # ----------------------------------------------------------------------------
 
@@ -246,6 +305,23 @@ def test_limit_sup_table_decays_linearly_in_y():
     for x in (1.0, -1.0, 1.5, -1.5):
         rows = limit_sup_table(par, x)
         assert [y for y, _ in rows] == list(DEFAULT_SUP_Y)
+        assert rows[-1][1] < 0.05 * rows[0][1]
+
+
+def test_limit_sup_table_leaves_out_critical_cells():
+    # eta = 6, m = 2: the critical momenta at x = 2 are exactly +-1.5
+    par = ShellParams.from_decimal("6", "2")
+    cases = (
+        # +-1.5 are nodes, so both cells around each go: +-1, +-1.5, +-2
+        (np.linspace(-3.0, 3.0, 13), [0, 1, 5, 6, 7, 11, 12]),
+        # +-1.5 lie inside the cells [-1.6, -0.8] and [0.8, 1.6]
+        (np.linspace(-3.2, 3.2, 9), [0, 1, 4, 7, 8]),
+    )
+    for grid, kept in cases:
+        rows = limit_sup_table(par, 2.0, p_grid=grid)
+        for y, value in rows:
+            inv = boundary_symbol_inverse(par, SymbolPoint.create(grid[kept], 2.0 + 1j * y, 2.0))
+            assert abs(value - y * np.max(inv.max_abs())) <= 1e-15 * value
         assert rows[-1][1] < 0.05 * rows[0][1]
 
 
