@@ -36,9 +36,7 @@ print("band edge m |eta^2 - 4| / (eta^2 + 4) as an exact rational")
 print("-" * 64)
 for eta_str in ("1", "2", "3", "1/3", "8/3"):
     params = ShellParams.from_decimal(eta_str, "1")
-    eta = params.eta_exact
-    exact = abs(eta * eta - 4) / (eta * eta + 4)
-    print(f"eta = {eta_str:>4}:  edge = {band_edge(params):.17g}  (= {exact})")
+    print(f"eta = {eta_str:>4}:  edge = {band_edge(params):.17g}  (= {params.band_ratio})")
 
 print()
 print("coupling inversion eta -> -4/eta leaves the set unchanged")

@@ -46,6 +46,14 @@ SCHEMA = "dirac-shell/1"
 
 VERIFY_SUITES = ("symbol", "oracle", "critical", "limits", "greens", "all")
 
+# the tolerances the suites read as tols["..."]: the only keys --tol-override takes
+VERIFY_TOLERANCES = (
+    "DET_IDENTITY_RTOL", "INVERSE_ENTRY_TOL", "ZETA_INDEPENDENCE_TOL", "ORACLE_DISPERSION_TOL",
+    "CRITICAL_KERNEL_TOL", "NONCRITICAL_KERNEL_FLOOR", "LIMIT_DECAY_RATIO", "LIMIT_IM_FLOOR",
+    "LIMIT_IM_CAUCHY", "PDE_RESIDUAL_TOL", "RICHARDSON_RATIO_BOUNDS", "BESSEL_DERIV_TOL",
+    "FOURIER_PAIR_TOL",
+)
+
 
 class UsageError(Exception):
     """Configuration problem: reported on stderr with exit code 2."""
@@ -167,16 +175,12 @@ def _grid(args) -> np.ndarray:
 
 
 def _tol_table(overrides) -> dict:
-    table = {
-        name: getattr(tolerances, name)
-        for name in dir(tolerances)
-        if name.isupper()
-    }
+    table = {name: getattr(tolerances, name) for name in VERIFY_TOLERANCES}
     for item in overrides or []:
         key, sep, text = item.partition("=")
         if not sep or key not in table:
             known = ", ".join(sorted(table))
-            raise UsageError(f"unknown tolerance override {item!r}; known keys: {known}")
+            raise UsageError(f"{key!r} is no tolerance a verify suite reads; accepted: {known}")
         if not isinstance(table[key], float):
             raise UsageError(f"{key} is not a scalar tolerance and cannot be overridden")
         try:
@@ -239,31 +243,26 @@ def suite_symbol(params: ShellParams, tols: dict, samples: int = 1000) -> list:
     split_b = reference_symbol(params, anchor_b, p) - weyl_symbol(params, z, anchor_b, p)
     scale = np.maximum(1.0, theta.max_abs())
     worst = (
-        np.max(np.abs(theta.det() - closed) / np.abs(closed)),
-        np.max((prod - prod.identity()).max_abs()),
-        np.max((split_a - theta).max_abs() / scale),
-        np.max((split_a - split_b).max_abs() / scale),
+        (np.max(np.abs(theta.det() - closed) / np.abs(closed)), tols["DET_IDENTITY_RTOL"]),
+        (np.max((prod - prod.identity()).max_abs()), tols["INVERSE_ENTRY_TOL"]),
+        (np.max((split_a - theta).max_abs() / scale), tols["ZETA_INDEPENDENCE_TOL"]),
+        (np.max((split_a - split_b).max_abs() / scale), tols["ZETA_INDEPENDENCE_TOL"]),
     )
-    keys = ("DET_IDENTITY_RTOL", "INVERSE_ENTRY_TOL", "ZETA_INDEPENDENCE_TOL", "ZETA_INDEPENDENCE_TOL")
-    return [_check(n, w, tols[k], "<=") for n, w, k in zip(names, worst, keys)]
+    return [_check(n, w, tol, "<=") for n, (w, tol) in zip(names, worst)]
 
 
 def suite_oracle(params: ShellParams, tols: dict) -> list:
     """Fiber bound state against the closed-form dispersion relation."""
-    if params.critical or params.eta == 0.0:
+    if not params.band_sign:
         return [_not_applicable("fiber_vs_dispersion", f"eta = {params.eta:g}: no in-gap band")]
+    if params.m == 0.0:
+        return [_not_applicable("fiber_vs_dispersion", "m = 0: empty fiber gap at p = 0")]
     worst = 0.0
     for p in np.linspace(0.0, 10.0, 41):
         root = fiber_eigenvalue(params, float(p))
-        if root is None:
-            return [{
-                "name": "fiber_vs_dispersion",
-                "measured": None,
-                "threshold": tols["ORACLE_DISPERSION_TOL"],
-                "comparison": "<=",
-                "status": "fail",
-                "reason": f"no fiber root found at p = {p:g}",
-            }]
+        if root is None:  # a failed check without a measured value
+            row = _check("fiber_vs_dispersion", math.nan, tols["ORACLE_DISPERSION_TOL"], "<=")
+            return [{**row, "measured": None, "reason": f"no fiber root found at p = {p:g}"}]
         worst = max(worst, abs(root - dispersion_energy(params, float(p))))
     return [_check("fiber_vs_dispersion", worst, tols["ORACLE_DISPERSION_TOL"], "<=")]
 
@@ -369,12 +368,10 @@ def cmd_band_edges(args) -> int:
     edge = band_edge(params)
     if params.m == 0.0:
         side = "full-line"
-    elif params.eta == 0.0:
-        side = "free"
-    elif params.critical:
-        side = "flat-band"
+    elif params.band_sign:
+        side = "negative" if params.band_sign < 0 else "positive"
     else:
-        side = "negative" if params.eta * (params.eta * params.eta - 4.0) < 0.0 else "positive"
+        side = "flat-band" if params.critical else "free"
     doc = {
         "schema": SCHEMA,
         "eta": params.eta,

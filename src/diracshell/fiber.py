@@ -105,8 +105,7 @@ def fiber_eigenvalue(params: ShellParams, p: float):
     end margin FIBER_GAP_MARGIN (kappa degenerates at the endpoints), then
     bisection to FIBER_BISECT_TOL.  Undefined for eta in {0, +2, -2}.
     """
-    if params.critical or params.eta == 0.0:
-        raise ValueError(f"no isolated fiber root for eta = {params.eta!r}")
+    params.require_band()
     half = math.hypot(p, params.m)
     if half == 0.0:
         raise ValueError("empty fiber gap (m = 0 and p = 0)")
@@ -181,7 +180,17 @@ def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:
         z = scale * np.sqrt(p * p + m * m)
         return envelope_sq(p) * (z - z0) ** 2
 
+    def weighted_stable(p):
+        dz = scale * (p - p0) * (p + p0) / (np.sqrt(p * p + m * m) + math.hypot(p0, m))
+        return envelope_sq(p) * dz * dz
+
     lo, hi = p0 - 8.0 * width, p0 + 8.0 * width
-    num = tanh_sinh(weighted, lo, hi)
+    try:
+        num = tanh_sinh(weighted, lo, hi)
+    except RuntimeError:
+        # z - z0 cancels near the band's extremum, and for |m| << width the band
+        # has a corner at p = 0: integrate a cancellation-free form on each side
+        cut = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+        num = sum(tanh_sinh(weighted_stable, a, b) for a, b in zip(cut, cut[1:]))
     den = tanh_sinh(envelope_sq, lo, hi)
     return math.sqrt(float(num.real) / float(den.real))

@@ -107,7 +107,8 @@ def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-13, max_level: int = 12
     integrands that share the nodes, as in the Bessel rays.  Integrable
     endpoint singularities are allowed.  Refinement halves the step and
     reuses previous evaluations; iteration stops once two consecutive
-    levels agree to rel_tol for every integrand of the batch.
+    levels agree to rel_tol for every integrand of the batch, and
+    RuntimeError is raised when max_level halvings do not get there.
     """
     h = 0.5
     x, wgt = _ts_nodes(a, b, h, False)
@@ -121,7 +122,7 @@ def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-13, max_level: int = 12
             if np.all(np.abs(new_total - total) <= rel_tol * np.abs(new_total) + 1e-300):
                 return new_total
             total = new_total
-    return total
+    raise RuntimeError(f"tanh_sinh missed rel_tol {rel_tol:g} in {max_level} levels")
 
 
 # ============================================================================
@@ -143,7 +144,8 @@ def _k01_real_ray(x: np.ndarray, rel_tol: float = BESSEL_TARGET_TOL):
     Trapezoid rule on the even integrand exp(-x cosh t) cosh(nu t); the
     even reflection kills the odd Euler-Maclaurin terms at t = 0 and the
     double-exponential tail kills them at the cutoff, so halving the step
-    converges geometrically.  Both orders share the exponential table.
+    converges geometrically.  Both orders share the exponential table;
+    RuntimeError if 14 halvings do not reach rel_tol.
     """
     x = np.asarray(x, dtype=float)
     xmin = float(np.min(x))
@@ -169,8 +171,8 @@ def _k01_real_ray(x: np.ndarray, rel_tol: float = BESSEL_TARGET_TOL):
             )
             k0, k1 = k0_new, k1_new
             if done:
-                break
-    return k0.astype(complex), k1.astype(complex)
+                return k0.astype(complex), k1.astype(complex)
+    raise RuntimeError(f"K0/K1 trapezoid missed rel_tol {rel_tol:g} after 14 halvings")
 
 
 def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float = BESSEL_TARGET_TOL):

@@ -20,7 +20,6 @@ partner coupling -4/eta serialize to identical bytes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,34 +119,19 @@ class SpectrumDescription:
         )
 
 
-def _edge_exact(params: ShellParams) -> Fraction:
-    """|m| |eta^2 - 4| / (eta^2 + 4), exact."""
-    e2 = params.eta_exact * params.eta_exact
-    return abs(params.m_exact) * abs(e2 - 4) / (e2 + 4)
-
-
 def band_edge(params: ShellParams) -> float:
     """Modulus of the in-gap band edge, |m| |eta^2-4| / (eta^2+4).
 
     At eta = 0 this equals |m| (the free gap edge) and at the critical
-    couplings it equals 0 (the flat band).
+    couplings it equals 0 (the flat band).  Exact up to the final rounding.
     """
-    return float(_edge_exact(params))
+    return float(abs(params.m_exact) * params.band_ratio)
 
 
 def sign_condition(params: ShellParams, z: float) -> bool:
-    """z eta / (eta^2 - 4) > 0: the gap side on which in-gap dispersion
-    solutions can exist.  Undefined for eta in {0, +2, -2}."""
-    if params.critical or params.eta == 0.0:
-        raise ValueError(f"sign condition undefined for eta = {params.eta!r}")
-    eta = params.eta
-    return z * eta / (eta * eta - 4.0) > 0.0
-
-
-def _band_sign(params: ShellParams) -> int:
-    """Sign of eta (eta^2 - 4): the sign of the in-gap band energies."""
-    s = params.eta_exact * (params.eta_exact * params.eta_exact - 4)
-    return (s > 0) - (s < 0)
+    """z eta / (eta^2 - 4) > 0, by the exact band sign: the gap side on which
+    in-gap dispersion solutions can exist.  Undefined for eta in {0, +2, -2}."""
+    return z * params.require_band() > 0
 
 
 def dispersion_energy(params: ShellParams, p: float) -> float:
@@ -158,11 +142,8 @@ def dispersion_energy(params: ShellParams, p: float) -> float:
     Solves branch_sqrt(p^2 + m^2 - z^2) = 4 z eta/(eta^2 - 4) with both
     sides positive.  Undefined for eta in {0, +2, -2}.
     """
-    if params.critical or params.eta == 0.0:
-        raise ValueError(f"dispersion undefined for eta = {params.eta!r}")
-    e2 = params.eta_exact * params.eta_exact
-    ratio = float(abs(e2 - 4) / (e2 + 4))
-    return _band_sign(params) * ratio * math.sqrt(p * p + params.m * params.m)
+    sign = params.require_band()
+    return sign * float(params.band_ratio) * math.sqrt(p * p + params.m * params.m)
 
 
 def dispersion_momentum(params: ShellParams, z: float):
@@ -170,27 +151,15 @@ def dispersion_momentum(params: ShellParams, z: float):
 
         p = +/- sqrt((eta^2+4)^2/(eta^2-4)^2 z^2 - m^2),
 
-    or None when |z| is below the band edge (radicand negative).  The sign
+    or None below the band edge (ShellParams.band_momenta).  The sign
     condition z eta/(eta^2-4) > 0 must hold: energies on the wrong side of
     the gap never solve the unsquared relation, so they are rejected rather
     than silently mapped to the mirror band.
     """
-    if params.critical or params.eta == 0.0:
-        raise ValueError(f"dispersion undefined for eta = {params.eta!r}")
     z = float(z)
     if not sign_condition(params, z):
         raise ValueError(f"sign condition fails at z = {z!r}: no band on this side of the gap")
-    e2 = params.eta_exact * params.eta_exact
-    q = float((e2 + 4) / abs(e2 - 4))
-    qz = q * z
-    rad = qz * qz - params.m * params.m
-    # rounding can push the radicand a few ulp below zero right at the band
-    # edge; snap those to the edge pair (0, 0) instead of reporting no root
-    tiny = 8.0 * sys.float_info.epsilon * (qz * qz + params.m * params.m)
-    if rad < -tiny:
-        return None
-    root = math.sqrt(rad) if rad > 0.0 else 0.0
-    return (0.0 - root, root)
+    return params.band_momenta(z)
 
 
 def full_spectrum(params: ShellParams) -> SpectrumDescription:
@@ -209,14 +178,10 @@ def full_spectrum(params: ShellParams) -> SpectrumDescription:
                 SpectralComponent("ray-right", m_edge, "continuous"),
             ),
         )
-    side = _band_sign(params)
-    gap_edge = band_edge(params)
-    if side < 0:
-        left, right = -gap_edge, m_edge
-    elif side > 0:
-        left, right = -m_edge, gap_edge
-    else:  # eta = 0, where gap_edge == m_edge anyway
-        left, right = -m_edge, m_edge
+    side = params.band_sign  # 0 only at eta = 0, where the edge is m_edge
+    edge = band_edge(params)
+    left = -edge if side < 0 else -m_edge
+    right = edge if side > 0 else m_edge
     return SpectrumDescription(
         params,
         (

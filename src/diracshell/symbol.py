@@ -30,6 +30,7 @@ nothing else.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -101,6 +102,38 @@ class ShellParams:
     @property
     def critical(self) -> bool:
         return self.eta_exact == 2 or self.eta_exact == -2
+
+    # the in-gap band in exact arithmetic: the one source of its side, edge and momenta
+
+    @property
+    def band_sign(self) -> int:
+        """Sign of eta (eta^2 - 4): the gap side (-1 or +1) of the in-gap
+        band, 0 at eta in {0, +2, -2}, where there is none."""
+        s = self.eta_exact * (self.eta_exact * self.eta_exact - 4)
+        return (s > 0) - (s < 0)
+
+    @property
+    def band_ratio(self) -> Fraction:
+        """|eta^2 - 4| / (eta^2 + 4): the band edge in units of |m|."""
+        e2 = self.eta_exact * self.eta_exact
+        return abs(e2 - 4) / (e2 + 4)
+
+    def require_band(self) -> int:
+        """band_sign, or ValueError at eta in {0, +2, -2}."""
+        if not self.band_sign:
+            raise ValueError(f"no isolated in-gap band at eta = {self.eta!r}")
+        return self.band_sign
+
+    def band_momenta(self, x: float):
+        """+/- sqrt(x^2 / band_ratio^2 - m^2) from the exact radicand, or None
+        below the band edge; 8 ulp below zero (a rounded edge x) gives (0, 0)."""
+        q2x2 = (Fraction(x) / self.band_ratio) ** 2
+        m2 = self.m_exact * self.m_exact
+        rad = q2x2 - m2
+        if rad < -8 * Fraction(sys.float_info.epsilon) * (q2x2 + m2):
+            return None
+        root = math.sqrt(max(rad, 0))
+        return (0.0 - root, root)  # (0.0, 0.0), not (-0.0, 0.0), at the edge
 
 
 @dataclass(frozen=True)
@@ -245,24 +278,14 @@ def critical_momenta(params: ShellParams, x: float):
     vanishes:  p = +/- sqrt((eta^2+4)^2/(eta^2-4)^2 x^2 - m^2).
 
     Returns the ordered pair, or None when no such momenta exist (critical
-    or zero coupling, or sign condition x eta/(eta^2-4) > 0 violated).
+    or zero coupling, or sign condition x eta (eta^2-4) > 0 violated).  The
+    sign and the radicand are exact.
     Requires |x| >= |m| (boundary values on the essential spectrum).
     """
     x = float(x)
     if abs(x) < abs(params.m):
         raise ValueError(f"|x| >= |m| required, got x={x!r} with m={params.m!r}")
-    eta = params.eta
-    if params.critical or eta == 0.0:
-        return None
-    denom = eta * eta - 4.0
-    if not (x * eta / denom > 0.0):
-        return None
-    q = (eta * eta + 4.0) / denom
-    rad = q * q * x * x - params.m * params.m
-    if rad < 0.0:
-        return None
-    root = math.sqrt(rad)
-    return (-root, root)
+    return params.band_momenta(x) if x * params.band_sign > 0.0 else None
 
 
 # ----------------------------------------------------------------------------

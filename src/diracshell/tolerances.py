@@ -2,7 +2,7 @@
 
 Every guaranteed accuracy quoted in a docstring refers to one of the named
 constants below, so a single edit retunes the whole package (the command
-line exposes the same names through --tol-override).
+line exposes the names that its verify suites read through --tol-override).
 """
 
 # ---- numerics core ---------------------------------------------------------

@@ -1,7 +1,10 @@
 """Command-line surface: document shapes, exit codes, determinism."""
+import inspect
 import json
 import math
+import re
 
+from diracshell import cli
 from diracshell.cli import main
 from diracshell.spectrum import SpectrumDescription, full_spectrum
 from diracshell.symbol import ShellParams, SymbolPoint, boundary_det
@@ -326,6 +329,36 @@ def test_verify_rejects_unknown_tolerance(capsys):
     assert code == 2
 
 
+def test_verify_rejects_override_keys_no_suite_reads(capsys):
+    code, out = run(
+        capsys, "verify", "--suite", "symbol", "--tol-override", "SQRT_REL_TOL=-1",
+    )
+    assert code == 2 and out == ""
+
+
+def test_override_keys_are_the_keys_the_suites_read():
+    source = inspect.getsource(cli)
+    read = set(re.findall(r'tols\["([A-Z0-9_]+)"\]', source))
+    assert read == set(cli.VERIFY_TOLERANCES)
+    assert len(cli.VERIFY_TOLERANCES) == len(read)  # no name listed twice
+
+
+def test_verify_limits_next_to_criticality(capsys):
+    # the float of each coupling is exactly +/-2.0 while the exact value is
+    # not critical; the float band formulas used to divide by eta^2 - 4
+    for eta in ("2.0000000000000001", "1.9999999999999999", "-2.0000000000000001"):
+        code, out = run(capsys, "verify", "--suite", "limits", "--eta", eta, "--m", "1")
+        assert code == 0, eta
+        assert json.loads(out)["pass"] is True
+
+
+def test_verify_all_without_mass_is_answered(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--eta", "1", "--m", "0")
+    assert code in (0, 1)
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert rows["fiber_vs_dispersion"]["status"] == "not-applicable"
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
@@ -347,6 +380,19 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert path.read_text() == direct
+
+
+def test_band_edges_side_is_exact_next_to_criticality(capsys):
+    # the float of each coupling is exactly +/-2.0; only the exact sign of
+    # eta (eta^2 - 4) puts the side on the ray that spectrum moves
+    for eta, side, ray in (("1.9999999999999999", "negative", 0),
+                           ("2.0000000000000001", "positive", 1),
+                           ("-1.9999999999999999", "positive", 1)):
+        code, out = run(capsys, "band-edges", "--eta", eta, "--m", "1")
+        assert code == 0 and json.loads(out)["side"] == side, eta
+        _, out = run(capsys, "spectrum", "--eta", eta, "--m", "1")
+        endpoint = json.loads(out)["components"][ray]["endpoint"]
+        assert 0.0 < abs(endpoint) < 1e-16, eta
 
 
 def test_scientific_notation_criticality(capsys):

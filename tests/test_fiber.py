@@ -190,6 +190,20 @@ def test_quasimode_residual_slope_oracle():
     assert abs(quasimode_residual(par, 2.0, w) / w - slope) <= 0.1 * slope
 
 
+def test_quasimode_residual_where_the_direct_form_fails():
+    # for |m| << width the band has a corner at p = 0 inside the packet;
+    # with m = 0, R = 0.6 width up to the far tail
+    for m in ("0", "1e-6"):
+        got = quasimode_residual(ShellParams.from_decimal("1", m), 0.5, 0.1)
+        assert abs(got - 0.06) <= 1e-6, m
+    # at the band minimum z - z(0) cancels; there R = |s| width^2 sqrt(3) / (2 m)
+    # to leading order, with s = -3/5 the slope factor at eta = 1
+    for m, width in ((1.0, 1e-4), (2.0, 1e-3)):
+        got = quasimode_residual(ShellParams(1.0, m), 0.0, width)
+        want = 0.6 * width * width * math.sqrt(3.0) / (2.0 * m)
+        assert abs(got - want) <= 1e-5 * want, (m, width)
+
+
 def test_quasimode_residual_domain():
     par = ShellParams.from_decimal("1", "1")
     with pytest.raises(ValueError):

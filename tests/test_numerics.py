@@ -11,6 +11,7 @@ from diracshell.numerics import (
     branch_sqrt,
     pauli,
     tanh_sinh,
+    _k01_real_ray,
 )
 from diracshell.tolerances import BESSEL_MAX_ARG, SQRT_REL_TOL
 
@@ -103,6 +104,14 @@ def test_tanh_sinh_smooth_and_singular_integrands():
     got = tanh_sinh(lambda x: np.exp(1j * x), 0.0, 1.0)
     want = complex(math.sin(1.0), 1.0 - math.cos(1.0))
     assert abs(got - want) <= 1e-12
+
+
+def test_quadratures_raise_when_levels_run_out():
+    # x^-0.9 integrates to 10; the last level is off by 2e-4, far above rel_tol
+    with pytest.raises(RuntimeError):
+        tanh_sinh(lambda x: x ** -0.9, 0.0, 1.0)
+    with pytest.raises(RuntimeError):
+        _k01_real_ray(np.array([1.0]), rel_tol=-1.0)
 
 
 # ----------------------------------------------------------------------------
