@@ -71,8 +71,8 @@ def _scalar(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        if not math.isfinite(v):
-            raise TypeError(f"non-finite float {v!r} has no JSON form")
+        if not math.isfinite(v):  # an overflow: a domain error, not a traceback
+            raise ValueError(f"the result {v!r} is not a finite number")
         return format(v, ".17g")
     if isinstance(v, str):
         return json.dumps(v)
@@ -119,7 +119,7 @@ def _dumps(doc) -> str:
 def _csv(rows) -> str:
     lines = ["p,z"]
     for p, z in rows:
-        lines.append(f"{p:.17g},{z:.17g}")
+        lines.append(f"{_scalar(p)},{_scalar(z)}")
     return "\n".join(lines) + "\n"
 
 
@@ -511,6 +511,12 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
+    def _get_values(self, action, arg_strings):
+        # "--eta=--" arrives as ["--"], which argparse would turn into []
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -580,7 +586,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 

@@ -103,13 +103,17 @@ def fiber_eigenvalue(params: ShellParams, p: float):
 
     Sign-scan over FIBER_SCAN_NODES nodes spanning the gap up to a relative
     end margin FIBER_GAP_MARGIN (kappa degenerates at the endpoints), then
-    bisection to FIBER_BISECT_TOL.  Undefined for eta in {0, +2, -2}.
+    bisection to FIBER_BISECT_TOL or to adjacent floats, whichever comes
+    first.  Where the band edge ratio lies inside that margin, the scan
+    ends halfway from it to the gap edge.  Undefined for eta in {0, +2, -2}.
     """
     params.require_band()
     half = math.hypot(p, params.m)
     if half == 0.0:
         raise ValueError("empty fiber gap (m = 0 and p = 0)")
-    top = half * (1.0 - FIBER_GAP_MARGIN)
+    top = half * max(1.0 - FIBER_GAP_MARGIN, float((1 + params.band_ratio) / 2))
+    if top >= half:  # the band is within rounding of the gap edge
+        return None
     zs = np.linspace(-top, top, FIBER_SCAN_NODES)
     det = _match_det_raw(params.eta, params.m, p, zs)
     hits = np.nonzero(det == 0.0)[0]
@@ -126,6 +130,8 @@ def fiber_eigenvalue(params: ShellParams, p: float):
     f_lo = float(_match_det_raw(params.eta, params.m, p, lo))
     while hi - lo > FIBER_BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats, as for |z| > 8192: no smaller bracket
+            break
         f_mid = float(_match_det_raw(params.eta, params.m, p, mid))
         if f_mid == 0.0:
             return mid

@@ -11,13 +11,16 @@ Conventions
 
       K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0.
 
-  On the positive real axis a trapezoid rule on the even integrand,
-  sharing one exponential table between both orders and between all
-  arguments of a batch, halves its step until it converges.  Off the axis
-  the path is bent onto the ray Im t = -arg(w), which removes the
-  oscillation of the integrand at infinity, and both pieces are integrated
-  by tanh-sinh quadrature.  No special-function library is involved, so
-  the mpmath oracle used in the tests is a genuinely independent check.
+  On the positive real axis a trapezoid rule on the even integrand halves
+  its step until it converges.  A batch is banded by the power of two of
+  the tail cutoff acosh(1 + 55/w), and each band is cut into blocks of at
+  most _REAL_BLOCK arguments that share one exponential table between both
+  orders, so neither a few tiny arguments nor a large batch inflate the
+  table.  Off the axis the path is bent onto the ray Im t = -arg(w), which
+  removes the oscillation of the integrand at infinity, and both pieces
+  are integrated by tanh-sinh quadrature in blocks of _ROTATED_BLOCK.  No
+  special-function library is involved, so the mpmath oracle used in the
+  tests is a genuinely independent check.
 * Mat2C holds a 2x2 matrix, or an array of them when its entries are
   arrays; the symbol functions return it in both forms.
 """
@@ -138,41 +141,67 @@ def _tail_cutoff(scale: float, order: int, drop: float = 55.0) -> float:
     return u
 
 
-def _k01_real_ray(x: np.ndarray, rel_tol: float = BESSEL_TARGET_TOL):
-    """K0(x) and K1(x) for an array of positive reals.
+_REAL_BLOCK = 4096      # radii per trapezoid table on the real axis
+_ROTATED_BLOCK = 16384  # radii per tanh-sinh batch off the axis
 
-    Trapezoid rule on the even integrand exp(-x cosh t) cosh(nu t); the
-    even reflection kills the odd Euler-Maclaurin terms at t = 0 and the
-    double-exponential tail kills them at the cutoff, so halving the step
-    converges geometrically.  Both orders share the exponential table;
-    RuntimeError if 14 halvings do not reach rel_tol.
+
+def _k01_trapezoid(a: float, r: np.ndarray, rel_tol: float):
+    """K0(x) and K1(x) at x = a r, positive reals sharing one table.
+
+    Trapezoid rule on the even integrand exp(-x cosh t) cosh(nu t), cut at
+    the tail cutoff of the smallest x; the even reflection kills the odd
+    Euler-Maclaurin terms at t = 0 and the double-exponential tail kills
+    them at the cutoff, so halving the step converges geometrically.  Both
+    orders share the table; RuntimeError if 14 halvings miss rel_tol.
     """
-    x = np.asarray(x, dtype=float)
-    xmin = float(np.min(x))
-    u_max = _tail_cutoff(xmin, 1)
+    x = a * r
+    u_max = _tail_cutoff(float(np.min(x)), 1)
     n = 16
     def _trap(rows, h):
         return h * (0.5 * (rows[:, 0] + rows[:, -1]) + rows[:, 1:-1].sum(axis=1))
 
+    def _table(c):  # exp(-x cosh t), built in place from c = cosh t
+        e = np.outer(x, -c)
+        return np.exp(e, out=e)
+
     with np.errstate(under="ignore"):
-        t = np.linspace(0.0, u_max, n + 1)
-        e = np.exp(-np.outer(x, np.cosh(t)))
+        c = np.cosh(np.linspace(0.0, u_max, n + 1))
+        e = _table(c)
         k0 = _trap(e, u_max / n)
-        k1 = _trap(e * np.cosh(t), u_max / n)
+        e *= c
+        k1 = _trap(e, u_max / n)
         for _ in range(14):
             h = u_max / n
-            tm = (np.arange(n) + 0.5) * h
-            em = np.exp(-np.outer(x, np.cosh(tm)))
-            k0_new = 0.5 * k0 + 0.5 * h * np.sum(em, axis=1)
-            k1_new = 0.5 * k1 + 0.5 * h * np.sum(em * np.cosh(tm), axis=1)
+            c = np.cosh((np.arange(n) + 0.5) * h)
+            e = _table(c)
+            k0_new = 0.5 * k0 + 0.5 * h * np.sum(e, axis=1)
+            e *= c
+            k1_new = 0.5 * k1 + 0.5 * h * np.sum(e, axis=1)
             n *= 2
             done = np.all(np.abs(k0_new - k0) <= rel_tol * np.abs(k0_new) + 1e-300) and np.all(
                 np.abs(k1_new - k1) <= rel_tol * np.abs(k1_new) + 1e-300
             )
             k0, k1 = k0_new, k1_new
             if done:
-                return k0.astype(complex), k1.astype(complex)
+                return k0, k1
     raise RuntimeError(f"K0/K1 trapezoid missed rel_tol {rel_tol:g} after 14 halvings")
+
+
+def _real_bands(x: np.ndarray):
+    """Index arrays of the bands of positive reals that share the binary
+    exponent of their leading tail cutoff acosh(1 + 55/x).  That exponent
+    falls as x grows, so each band is an interval of x, found with two
+    comparisons per radius; the outer bands are open-ended."""
+    if not x.size:
+        return
+    octaves = (math.frexp(math.acosh(1.0 + 55.0 / float(f(x))))[1] for f in (np.max, np.min))
+    first, last = sorted(octaves)
+    upper = math.inf
+    for e in range(first, last + 1):
+        # acosh(1 + 55/x) = 2^e at x = 55 / (cosh 2^e - 1)
+        lower = 55.0 / (2.0 * math.sinh(math.ldexp(1.0, e - 1)) ** 2) if e < last else 0.0
+        yield np.flatnonzero((x > lower) & (x <= upper))
+        upper = lower
 
 
 def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float = BESSEL_TARGET_TOL):
@@ -212,36 +241,37 @@ def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float = BESSEL_TARGET_T
     return k0, k1
 
 
-def _k01_ray(a: complex, r: np.ndarray):
-    """K0 and K1 at a*r for positive radii r; Re(a) > 0 required."""
+def bessel_k01_ray(a: complex, r):
+    """K0 and K1 at a*r for an array of positive radii r, with Re a > 0.
+
+    Batch companion of bessel_k, and the one owner of the memory bound: a
+    real ray goes through the trapezoid band by band (_real_bands) in
+    blocks of _REAL_BLOCK radii, a rotated ray through tanh-sinh in blocks
+    of _ROTATED_BLOCK.  Returns the pair (k0, k1) of complex arrays shaped
+    like r; RuntimeError when a block misses BESSEL_TARGET_TOL.
+    """
     a = complex(a)
     if a.real <= 0.0:
         raise ValueError(f"bessel argument ray must satisfy Re > 0, got direction {a!r}")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radii must be strictly positive")
-    if a.imag == 0.0:
-        return _k01_real_ray(a.real * r)
-    return _k01_rotated_ray(a, r)
-
-
-def bessel_k01_ray(a: complex, r):
-    """K0 and K1 at a*r for an array of positive radii r, with Re a > 0.
-
-    Batch companion of bessel_k: one shared quadrature table serves the
-    whole ray, which is what the kernel quadratures need.  Returns the pair
-    (k0, k1) of complex arrays shaped like r.
-    """
-    a = complex(a)
-    r = np.asarray(r, dtype=float)
-    top = float(np.max(np.abs(r))) * abs(a) if r.size else 0.0
+    top = float(np.max(r)) * abs(a) if r.size else 0.0
     if top > BESSEL_MAX_ARG:
-        warnings.warn(
-            f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {top:.3g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _k01_ray(a, r)
+        msg = f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {top:.3g})"
+        warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    flat = r.ravel()
+    if a.imag != 0.0:
+        step = _ROTATED_BLOCK
+        parts = [_k01_rotated_ray(a, flat[lo : lo + step]) for lo in range(0, flat.size, step)]
+        return tuple(np.concatenate(k).reshape(r.shape) for k in zip(*parts))
+    k0 = np.empty(flat.size, dtype=complex)
+    k1 = np.empty(flat.size, dtype=complex)
+    for idx in _real_bands(a.real * flat):
+        for lo in range(0, idx.size, _REAL_BLOCK):
+            sel = idx[lo : lo + _REAL_BLOCK]
+            k0[sel], k1[sel] = _k01_trapezoid(a.real, flat[sel], BESSEL_TARGET_TOL)
+    return k0.reshape(r.shape), k1.reshape(r.shape)
 
 
 def bessel_k(order: int, w: complex) -> complex:

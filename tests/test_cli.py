@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 
 from diracshell import cli
 from diracshell.cli import main
@@ -297,6 +298,15 @@ def test_verify_oracle_suite_passes(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_verify_oracle_finds_bands_inside_the_gap_margin(capsys):
+    # the band edge ratio |eta^2 - 4|/(eta^2 + 4) lies within FIBER_GAP_MARGIN of 1
+    for eta in ("0.01", "0.04", "100", "1000"):
+        code, out = run(capsys, "verify", "--suite", "oracle", "--eta", eta, "--m", "1")
+        assert code == 0, eta
+        (row,) = json.loads(out)["checks"]
+        assert row["status"] == "pass", (eta, row)
+
+
 def test_verify_marks_uncoupled_parameters_not_applicable(capsys):
     code, out = run(capsys, "verify", "--suite", "symbol", "--eta", "0", "--m", "1")
     assert code == 0
@@ -432,4 +442,36 @@ def test_non_finite_numbers_are_usage_errors(capsys):
     for argv in cases:
         code, out = run(capsys, *argv)
         assert code == 2, argv
+        assert out == ""
+
+
+def test_double_dash_attached_to_a_flag_is_a_usage_error(capsys):
+    # argparse turns "--eta=--" into an empty list, which reached Fraction()
+    for argv in (
+        ("band-edges", "--eta=--"),
+        ("greens-eval", "--z=--"),
+        ("verify", "--suite", "oracle", "--tol-override=--"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+
+
+def test_results_that_overflow_are_domain_errors(capsys):
+    # these printed -inf or nan, or ended in a traceback with exit 1
+    # (a division by zero at eta = 1e-300, a non-finite JSON entry otherwise)
+    cases = (
+        ("dispersion", "--eta", "1", "--m", "1", "--p-max", "1e300", "--p-count", "2"),
+        ("symbol-eval", "--eta", "1", "--m", "1", "--z", "0.5j", "--p-min", "-1e300", "--p-count", "2"),
+        ("symbol-eval", "--eta", "1e-300", "--m", "1", "--z", "0.5j", "--p-count", "2"),
+        ("symbol-eval", "--eta", "1e300", "--m", "1", "--z", "0.5j", "--p-count", "2"),
+        ("verify", "--suite", "critical", "--eta", "1e300", "--m", "1"),
+        ("quasimode", "--eta", "1", "--m", "1e300"),
+        ("greens-eval", "--m", "1e300", "--z", "0.5j"),
+    )
+    for argv in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+            code, out = run(capsys, *argv)
+        assert code == 3, argv
         assert out == ""

@@ -102,6 +102,15 @@ def test_matching_determinant_broadcasts():
 # root finding against the closed form
 # ----------------------------------------------------------------------------
 
+def test_fiber_eigenvalue_stops_at_adjacent_floats():
+    # near |z| = 3e4 neighbouring floats are 3.6e-12 apart, wider than
+    # FIBER_BISECT_TOL, so a bisection run to that tolerance never ended
+    par = ShellParams.from_decimal("1", "29626")
+    for p in (0.0, 5.0):
+        root = fiber_eigenvalue(par, p)
+        assert abs(root - dispersion_energy(par, p)) <= ORACLE_DISPERSION_TOL
+
+
 def test_fiber_eigenvalue_frozen_values():
     par = ShellParams.from_decimal("1", "1")
     assert abs(fiber_eigenvalue(par, 0.0) + 0.6) <= 1e-9

@@ -1,9 +1,11 @@
 """Branch square root, Bessel engine, quadrature and 2x2 matrix algebra."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from diracshell import greens, numerics
 from diracshell.numerics import (
     Mat2C,
     bessel_k,
@@ -11,7 +13,8 @@ from diracshell.numerics import (
     branch_sqrt,
     pauli,
     tanh_sinh,
-    _k01_real_ray,
+    _k01_trapezoid,
+    _real_bands,
 )
 from diracshell.tolerances import BESSEL_MAX_ARG, SQRT_REL_TOL
 
@@ -81,6 +84,82 @@ def test_bessel_ray_matches_scalar_calls():
             assert abs(k1[i] - bessel_k(1, a * ri)) <= 1e-12 * abs(k1[i])
 
 
+def _fourier_pair_radii(monkeypatch, kappa=1.0):
+    """The one real batch fourier_pair_check hands the engine: its tanh-sinh
+    head cell, down to about 1e-39, then its Gauss-Legendre body."""
+    seen = []
+
+    def spy(a, r):
+        seen.append(np.array(r))
+        return bessel_k01_ray(a, r)
+
+    monkeypatch.setattr(greens, "bessel_k01_ray", spy)
+    greens.fourier_pair_check(kappa)
+    (x,) = seen
+    return kappa * x
+
+
+def test_bessel_fourier_pair_batch_matches_oracle(monkeypatch):
+    x = _fourier_pair_radii(monkeypatch)
+    assert x.min() < 1e-38 and x.max() > 28.0
+    assert len(list(_real_bands(x))) >= 6
+    k0, k1 = bessel_k01_ray(1.0, x)
+    pick = np.unique(np.concatenate([np.arange(129), np.arange(129, x.size, 47), [x.size - 1]]))
+    worst = 0.0
+    for i in pick:
+        for got, order in ((k0[i], 0), (k1[i], 1)):
+            ref = bessel_k_oracle(order, x[i])
+            worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-12, worst
+
+
+def test_bessel_banded_batch_matches_single_radius_calls():
+    rng = np.random.default_rng(5)
+    x = np.geomspace(1e-39, 29.0, 9000)
+    rng.shuffle(x)
+    k0, k1 = bessel_k01_ray(1.0, x)
+    for i in range(0, x.size, 37):
+        assert abs(k0[i] - bessel_k(0, x[i])) <= 1e-15 * abs(k0[i])
+        # below x ~ 1e-20 the one-row table of a single radius sums K1 ~ 1/x
+        # to 1.8e-15 of the oracle, the batch to 4e-16
+        assert abs(k1[i] - bessel_k(1, x[i])) <= 5e-15 * abs(k1[i])
+
+
+def test_bessel_scalar_real_values_are_frozen():
+    # a single radius is its own band and block, so banding and blocking
+    # batches must leave these bits of the scalar path alone
+    frozen = (
+        (1e-39, 89.9167501424262, 1.0000000000000001e+39),
+        (2.3e-20, 45.334724252604225, 4.347826086956523e+19),
+        (1e-05, 11.628856980944363, 99999.99993935571),
+        (0.05, 3.11423402947199, 19.909674325882506),
+        (0.3, 1.3724600605442974, 3.0559920334573247),
+        (1.0, 0.42102443824070834, 0.6019072301972346),
+        (2.5, 0.06234755320036618, 0.07389081634774707),
+        (7.0, 0.00042479574186923174, 0.00045418248688489684),
+        (15.0, 9.819536482396435e-08, 1.0141729369762093e-07),
+        (29.0, 5.894950728792558e-14, 5.995740321238809e-14),
+    )
+    for x, k0, k1 in frozen:
+        assert bessel_k(0, x) == complex(k0, 0.0), x
+        assert bessel_k(1, x) == complex(k1, 0.0), x
+
+
+def test_bessel_real_ray_memory_is_bounded_by_blocks():
+    x = np.geomspace(1e-30, 29.0, 200_000)
+    np.random.default_rng(3).shuffle(x)
+    tracemalloc.start()
+    try:
+        k0, k1 = bessel_k01_ray(1.0, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the widest table, for the radii near 1e-30, has 4096 rows and 257 nodes;
+    # one table over all 200k radii would take 0.4 GB
+    table = 4096 * 257 * 8
+    assert peak <= k0.nbytes + k1.nbytes + 3 * table, peak / 1e6
+
+
 def test_bessel_domain_checks_and_range_warning():
     with pytest.raises(ValueError):
         bessel_k(2, 1.0)
@@ -106,12 +185,18 @@ def test_tanh_sinh_smooth_and_singular_integrands():
     assert abs(got - want) <= 1e-12
 
 
-def test_quadratures_raise_when_levels_run_out():
+def test_quadratures_raise_when_levels_run_out(monkeypatch):
     # x^-0.9 integrates to 10; the last level is off by 2e-4, far above rel_tol
     with pytest.raises(RuntimeError):
         tanh_sinh(lambda x: x ** -0.9, 0.0, 1.0)
     with pytest.raises(RuntimeError):
-        _k01_real_ray(np.array([1.0]), rel_tol=-1.0)
+        _k01_trapezoid(1.0, np.array([1.0]), -1.0)
+    # an unreachable target through the banded engine, from a batch of several bands
+    monkeypatch.setattr(numerics, "BESSEL_TARGET_TOL", -1.0)
+    many_bands = np.geomspace(1e-30, 29.0, 64)
+    assert len(list(_real_bands(many_bands))) > 1
+    with pytest.raises(RuntimeError):
+        bessel_k01_ray(1.0, many_bands)
 
 
 # ----------------------------------------------------------------------------
