@@ -14,6 +14,12 @@ away from the origin (pde_residual), verifies the K_0 Fourier pair that
 underlies the boundary-symbol computation, and applies the resolvent to
 sampled compactly supported data by node-sum quadrature with a dedicated
 polar rule on the singular cell.
+
+The quadrature has two paths that give the same sums.  At grid-node targets
+the kernel depends only on the integer offset between nodes, so it is
+tabulated once over the offsets (one Bessel ray on the distinct radii) and
+applied to the whole grid by zero-padded FFT; other targets take the direct
+sum, one kernel value per target-source pair.
 """
 from __future__ import annotations
 
@@ -179,9 +185,25 @@ class SampledField:
         return cls(axis, axis, vals)
 
 
-def _singular_cell(m: float, z: complex, a: complex, h: float) -> Mat2C:
+def _kernel_terms(a: complex, d1, d2, r, k0, k1, weight):
+    """weight * G_z at the offsets (d1, d2) of length r > 0, given K0 and K1
+    at a r, as its three distinct entries (c0, c1 conj(phase), c1 phase):
+
+        weight * G_z(d) = [[(z + m) c0,        c1 conj(phase)],
+                           [c1 phase,           (z - m) c0   ]],
+        c0 = weight K0 / 2 pi,  c1 = weight (i a / 2 pi) K1,  phase = (d1 + i d2) / r.
+
+    The direct sum and the offset table both assemble the kernel here."""
+    c0 = (weight * k0) / _TWO_PI
+    c1 = (weight * k1) * (1j * a / _TWO_PI)
+    phase = (d1 + 1j * d2) / r
+    return c0, c1 * np.conj(phase), c1 * phase
+
+
+def _singular_cell(a: complex, h: float):
     """Integral of G_z over the square cell of side h centred at the
-    singularity: midpoint rule in angle (16 nodes, kink-free placement),
+    singularity, as the entries (c0, c1 conj(phase), c1 phase) of
+    _kernel_terms: midpoint rule in angle (16 nodes, kink-free placement),
     Gauss-Legendre in radius up to the cell boundary.  The odd K_1 part
     cancels by symmetry; the even K_0 part carries the log singularity,
     which the radial rule sees only through the bounded function r K_0."""
@@ -199,62 +221,64 @@ def _singular_cell(m: float, z: complex, a: complex, h: float) -> Mat2C:
     s0 = np.sum(ww * rr * k0)
     s1c = np.sum(ww * rr * k1 * np.cos(theta)[:, None])
     s1s = np.sum(ww * rr * k1 * np.sin(theta)[:, None])
-    diag = s0 / _TWO_PI
     c1 = 1j * a / _TWO_PI
-    return Mat2C(
-        (z + m) * diag,
-        c1 * (s1c - 1j * s1s),
-        c1 * (s1c + 1j * s1s),
-        (z - m) * diag,
+    return s0 / _TWO_PI, c1 * (s1c - 1j * s1s), c1 * (s1c + 1j * s1s)
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2*3*5-smooth integer >= n, a fast FFT length."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _node_apply(m: float, z: complex, a: complex, f: SampledField, cell) -> np.ndarray:
+    """The quadrature of resolvent_apply at every grid node, shape (n1, n2, 2).
+
+    At a node target G_z(x_i - y_j) depends only on the integer offset
+    i - j, so the kernel is tabulated once on the (2 n1 - 1) x (2 n2 - 1)
+    offsets: one Bessel ray over the distinct radii h sqrt(di^2 + dj^2),
+    and the singular cell at offset (0, 0).  The sum over sources is then
+    an aperiodic convolution (Hockney & Eastwood, Computer Simulation Using
+    Particles, ch. 6), done by FFT on arrays zero-padded to at least
+    2 n - 1 per axis, rounded up to a 2*3*5-smooth length: the circular
+    product wraps around only onto entries past the n nodes read off."""
+    h = f.spacing
+    n1, n2 = f.x1.size, f.x2.size
+    d1, d2 = np.meshgrid(np.arange(1 - n1, n1), np.arange(1 - n2, n2), indexing="ij")
+    s = (d1 * d1 + d2 * d2).ravel()
+    rest = np.flatnonzero(s)  # every offset but the origin
+    radius_sq, back = np.unique(s[rest], return_inverse=True)
+    k0, k1 = bessel_k01_ray(a, h * np.sqrt(radius_sq))
+    table = np.zeros((3,) + d1.shape, dtype=complex)
+    table.reshape(3, -1)[:, rest] = _kernel_terms(
+        a, d1.ravel()[rest], d2.ravel()[rest], np.sqrt(s[rest]), k0[back], k1[back], h * h
     )
+    table[:, n1 - 1, n2 - 1] = cell
+
+    shape = (_smooth_length(2 * n1 - 1), _smooth_length(2 * n2 - 1))
+    c0, c1m, c1p = np.fft.fft2(table, shape)
+    f1, f2 = np.fft.fft2(np.moveaxis(f.values, 2, 0), shape)
+    u = np.fft.ifft2(np.stack([c0 * ((z + m) * f1) + c1m * f2, c1p * f1 + c0 * ((z - m) * f2)]))
+    # offset (0, 0) sits at index (n1 - 1, n2 - 1) of the table
+    return np.moveaxis(u[:, n1 - 1 : 2 * n1 - 1, n2 - 1 : 2 * n2 - 1], 0, 2)
 
 
-def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray:
-    """Apply the free resolvent to the sampled field f at the given points.
-
-    Node-sum quadrature u(x) = sum_j G_z(x - y_j) f(y_j) h^2 with the cell
-    containing the singularity replaced by the polar product rule times the
-    nearest node value.  The singular-cell geometry is exact when the
-    evaluation point is a grid node, which is how the consistency check
-    (finite differences reproduce f) is meant to be driven; off-node points
-    inside the sampled rectangle are handled with the cell recentred on the
-    evaluation point.
-
-    x_eval: one point (x1, x2) or an array of shape (k, 2).  Returns the
-    spinor values, shape (2,) or (k, 2).  Warns when an evaluation point
-    lies within one cell of the sampled boundary, where the truncated
-    convolution loses accuracy.
-    """
-    m = float(m)
-    z = complex(z)
-    a = branch_sqrt(m * m - z * z)
-    if not isinstance(f, SampledField):
-        raise TypeError("f must be a SampledField")
-    pts = np.asarray(x_eval, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("x_eval must be one 2-vector or an array of shape (k, 2)")
-
+def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts) -> np.ndarray:
+    """The quadrature of resolvent_apply at arbitrary points, shape (k, 2):
+    one kernel value per target-source pair, in blocks of about 2e6 pairs.
+    The node nearest to a point within half a cell takes the singular cell."""
     h = f.spacing
     n1, n2 = f.x1.size, f.x2.size
     y1 = np.repeat(f.x1, n2)
     y2 = np.tile(f.x2, n1)
     w = f.values.reshape(-1, 2)
-
-    edge = np.minimum(
-        np.minimum(pts[:, 0] - f.x1[0], f.x1[-1] - pts[:, 0]),
-        np.minimum(pts[:, 1] - f.x2[0], f.x2[-1] - pts[:, 1]),
-    )
-    if np.any(np.abs(edge) < h):
-        warnings.warn(
-            "evaluation point within one cell of the sampled boundary; "
-            "the truncated convolution is inaccurate there",
-            stacklevel=2,
-        )
-
-    cell = _singular_cell(m, z, a, h)
-    cell_arr = cell.as_array()
+    cell0, cell_m, cell_p = cell
     out = np.empty((pts.shape[0], 2), dtype=complex)
     block = max(1, 2_000_000 // (n1 * n2))
     for lo in range(0, pts.shape[0], block):
@@ -271,13 +295,79 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
         r[rows[sing], near[sing]] = 1.0  # placeholder, weight already zeroed
 
         k0, k1 = bessel_k01_ray(a, r)
-        c0 = (quad_w * k0) / _TWO_PI
-        c1 = (quad_w * k1) * (1j * a / _TWO_PI)
-        phase = (d1 + 1j * d2) / r
-        u1 = c0 @ ((z + m) * w[:, 0]) + (c1 * np.conj(phase)) @ w[:, 1]
-        u2 = (c1 * phase) @ w[:, 0] + c0 @ ((z - m) * w[:, 1])
-        u = np.stack([u1, u2], axis=1)
+        c0, c1m, c1p = _kernel_terms(a, d1, d2, r, k0, k1, quad_w)
+        u1 = c0 @ ((z + m) * w[:, 0]) + c1m @ w[:, 1]
+        u2 = c1p @ w[:, 0] + c0 @ ((z - m) * w[:, 1])
         if np.any(sing):
-            u[sing] += w[near[sing]] @ cell_arr.T
-        out[lo : lo + block] = u
+            wn = w[near[sing]]
+            u1[sing] += (z + m) * cell0 * wn[:, 0] + cell_m * wn[:, 1]
+            u2[sing] += cell_p * wn[:, 0] + (z - m) * cell0 * wn[:, 1]
+        out[lo : lo + block] = np.stack([u1, u2], axis=1)
+    return out
+
+
+def _node_index(axis: np.ndarray, h: float, coord: np.ndarray):
+    """Index of the node of axis at each coordinate, and whether the
+    coordinate sits on it (up to rounding: within 1e-9 of a cell)."""
+    idx = np.clip(np.rint((coord - axis[0]) / h), 0, axis.size - 1).astype(int)
+    return idx, np.abs(coord - axis[idx]) <= 1e-9 * h
+
+
+def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray:
+    """Apply the free resolvent to the sampled field f at the given points.
+
+    Node-sum quadrature u(x) = sum_j G_z(x - y_j) f(y_j) h^2 with the cell
+    containing the singularity replaced by the polar product rule times the
+    nearest node value.  Each point takes one of two paths, chosen by its
+    own coordinates:
+
+    * a point on a grid node reads its value off the whole-grid result of
+      _node_apply: one kernel table over the integer offsets, applied by
+      zero-padded FFT.  This is how the consistency check (finite
+      differences reproduce f) is meant to be driven;
+    * any other point takes the direct sum of _direct_apply, one kernel
+      value per source node; inside the sampled rectangle its singular cell
+      sits on the nearest node.
+
+    On node points the two agree to rounding (about 1e-15 relative).
+
+    x_eval: one point (x1, x2) or an array of shape (k, 2).  Returns the
+    spinor values, shape (2,) or (k, 2).  Warns when an evaluation point
+    lies within one cell of the sampled boundary, where the truncated
+    convolution loses accuracy.
+    """
+    m = float(m)
+    z = complex(z)
+    a = branch_sqrt(m * m - z * z)
+    if not isinstance(f, SampledField):
+        raise TypeError("f must be a SampledField")
+    pts = np.asarray(x_eval, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("x_eval must be one 2-vector or an array of shape (k, 2)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("x_eval must be finite")
+
+    h = f.spacing
+    edge = np.minimum(
+        np.minimum(pts[:, 0] - f.x1[0], f.x1[-1] - pts[:, 0]),
+        np.minimum(pts[:, 1] - f.x2[0], f.x2[-1] - pts[:, 1]),
+    )
+    if np.any(np.abs(edge) < h):
+        warnings.warn(
+            "evaluation point within one cell of the sampled boundary; "
+            "the truncated convolution is inaccurate there",
+            stacklevel=2,
+        )
+
+    cell = _singular_cell(a, h)
+    i, on1 = _node_index(f.x1, h, pts[:, 0])
+    j, on2 = _node_index(f.x2, h, pts[:, 1])
+    on_node = on1 & on2
+    out = np.empty((pts.shape[0], 2), dtype=complex)
+    if np.any(on_node):
+        out[on_node] = _node_apply(m, z, a, f, cell)[i[on_node], j[on_node]]
+    if not np.all(on_node):
+        out[~on_node] = _direct_apply(m, z, a, f, cell, pts[~on_node])
     return out[0] if single else out

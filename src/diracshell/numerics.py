@@ -188,14 +188,19 @@ def _k01_trapezoid(a: float, r: np.ndarray, rel_tol: float):
 
 
 def _real_bands(x: np.ndarray):
-    """Index arrays of the bands of positive reals that share the binary
-    exponent of their leading tail cutoff acosh(1 + 55/x).  That exponent
+    """The bands of positive reals that share the binary exponent of their
+    leading tail cutoff acosh(1 + 55/x), as index arrays.  That exponent
     falls as x grows, so each band is an interval of x, found with two
-    comparisons per radius; the outer bands are open-ended."""
+    comparisons per radius; the outer bands are open-ended.  A batch inside
+    one band, such as a single radius, is yielded whole as slice(None), with
+    no mask and no fancy indexing."""
     if not x.size:
         return
     octaves = (math.frexp(math.acosh(1.0 + 55.0 / float(f(x))))[1] for f in (np.max, np.min))
     first, last = sorted(octaves)
+    if first == last:
+        yield slice(None)
+        return
     upper = math.inf
     for e in range(first, last + 1):
         # acosh(1 + 55/x) = 2^e at x = 55 / (cosh 2^e - 1)
@@ -267,9 +272,10 @@ def bessel_k01_ray(a: complex, r):
         return tuple(np.concatenate(k).reshape(r.shape) for k in zip(*parts))
     k0 = np.empty(flat.size, dtype=complex)
     k1 = np.empty(flat.size, dtype=complex)
-    for idx in _real_bands(a.real * flat):
-        for lo in range(0, idx.size, _REAL_BLOCK):
-            sel = idx[lo : lo + _REAL_BLOCK]
+    for band in _real_bands(a.real * flat):
+        whole = isinstance(band, slice)  # a one-band batch, cut by slices
+        for lo in range(0, flat.size if whole else band.size, _REAL_BLOCK):
+            sel = slice(lo, lo + _REAL_BLOCK) if whole else band[lo : lo + _REAL_BLOCK]
             k0[sel], k1[sel] = _k01_trapezoid(a.real, flat[sel], BESSEL_TARGET_TOL)
     return k0.reshape(r.shape), k1.reshape(r.shape)
 

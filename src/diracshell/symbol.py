@@ -30,6 +30,7 @@ nothing else.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +60,27 @@ __all__ = [
 
 DEFAULT_SUP_Y = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_IM_Y = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+
+
+# Fraction("1e-20000000") builds 10**20000000 as an exact integer, which takes
+# seconds, and the exact band arithmetic then squares it.  from_decimal
+# refuses decimal exponents beyond CPython's default limit on the digits of
+# an integer converted from text (sys.int_info.default_max_str_digits), the
+# limit Fraction already applies to the digits of the mantissa.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _exact(text: str) -> Fraction:
+    """Fraction(text), or ValueError at once when text is a decimal with an
+    exponent beyond +-_MAX_EXPONENT."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        # five digits decide: any longer exponent is beyond the limit too
+        if int(digits[:5] or "0") > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} is beyond +-{_MAX_EXPONENT}")
+    return Fraction(text)
 
 
 class SingularSymbolError(ValueError):
@@ -94,9 +116,10 @@ class ShellParams:
 
     @classmethod
     def from_decimal(cls, eta: str, m: str) -> "ShellParams":
-        """Build from exact strings: decimals, scientific notation, "p/q"."""
-        eta_exact = Fraction(eta)
-        m_exact = Fraction(m)
+        """Build from exact strings: decimals, scientific notation, "p/q".
+        A decimal exponent beyond +-4300 is a ValueError."""
+        eta_exact = _exact(eta)
+        m_exact = _exact(m)
         return cls(float(eta_exact), float(m_exact), eta_exact, m_exact)
 
     @property

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import time
 import warnings
 
 from diracshell import cli
@@ -443,6 +444,23 @@ def test_non_finite_numbers_are_usage_errors(capsys):
         code, out = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+
+
+def test_huge_decimal_exponents_are_refused_at_once(capsys):
+    # Fraction built 10**|exponent|: 1e20000000 took half a minute to exit 2,
+    # and the band arithmetic at 1e-20000000 never ended
+    for text in ("1e20000000", "1e-20000000", "1E+99999999999999999999", "1e-4301", "0e-20000000"):
+        for flags in ((f"--eta={text}", "--m=1"), ("--eta=1", f"--m={text}")):
+            start = time.perf_counter()
+            code, out = run(capsys, "band-edges", *flags)
+            assert code == 2 and out == "", flags
+            assert time.perf_counter() - start < 1.0, flags
+    # up to the limit the exact value is kept: positive although its float is 0
+    for text in ("1e-400", "1e-4300", "1e-0004300"):
+        code, out = run(capsys, "band-edges", f"--eta={text}", "--m=1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["eta"] == 0 and doc["side"] == "negative"
 
 
 def test_double_dash_attached_to_a_flag_is_a_usage_error(capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from diracshell import greens
 from diracshell.greens import (
     SampledField,
     fourier_pair_check,
@@ -12,7 +13,12 @@ from diracshell.greens import (
     resolvent_apply,
 )
 from diracshell.numerics import Mat2C, branch_sqrt
-from diracshell.tolerances import FOURIER_PAIR_TOL, PDE_RESIDUAL_TOL, RICHARDSON_RATIO_BOUNDS
+from diracshell.tolerances import (
+    FOURIER_PAIR_TOL,
+    PDE_RESIDUAL_TOL,
+    RESOLVENT_ROUNDTRIP_TOL,
+    RICHARDSON_RATIO_BOUNDS,
+)
 
 from oracle_bessel import bessel_k_oracle
 
@@ -214,11 +220,13 @@ def test_resolvent_apply_warns_near_support_boundary():
 def test_resolvent_apply_conjugation_reflection_symmetry():
     # conj(G_conj(z)((-d1, d2))) = G_z(d) entrywise, hence applying at the
     # mirrored points with the mirrored-conjugated source reproduces the
-    # conjugate of the original output
+    # conjugate of the original output, on the direct sum (off-node points)
+    # and on the node path alike
     field = _gaussian_field(count=21)
     mirrored = SampledField(field.x1, field.x2, np.conj(field.values[::-1, :, :]))
     z = 0.3 + 0.7j
-    pts = np.array([[0.1, 0.2], [-0.3, 0.0], [0.25, -0.15]])
+    nodes = [(field.x1[i], field.x2[j]) for i, j in ((12, 14), (5, 10), (15, 7), (10, 10))]
+    pts = np.array([[0.1, 0.2], [-0.3, 0.0], [0.25, -0.15]] + nodes)
     ref_pts = pts * np.array([-1.0, 1.0])
     direct = resolvent_apply(1.0, z, field, pts)
     mirror = resolvent_apply(1.0, z.conjugate(), mirrored, ref_pts)
@@ -229,3 +237,117 @@ def test_resolvent_apply_rejects_spectral_z():
     field = _gaussian_field(count=11)
     with pytest.raises(ValueError):
         resolvent_apply(1.0, 2.0, field, (0.0, 0.0))
+
+
+def test_resolvent_apply_rejects_non_finite_points():
+    field = _gaussian_field(count=11)
+    for pt in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            resolvent_apply(1.0, 0.5j, field, pt)
+
+
+# ----------------------------------------------------------------------------
+# node targets: offset table and FFT against the direct sum
+# ----------------------------------------------------------------------------
+
+@pytest.fixture
+def distinct_radii(monkeypatch):
+    """Send only the distinct radii of each batch through the Bessel ray of
+    greens: the direct sum over a whole 31^2 grid repeats about 1.2e3 radii
+    9e5 times, which would take a minute at complex a."""
+    ray = greens.bessel_k01_ray
+
+    def distinct(a, r):
+        r = np.asarray(r, dtype=float)
+        radii, back = np.unique(r, return_inverse=True)
+        k0, k1 = ray(a, radii)
+        return k0[back].reshape(r.shape), k1[back].reshape(r.shape)
+
+    monkeypatch.setattr(greens, "bessel_k01_ray", distinct)
+
+
+def _direct_sum(m, z, field, pts):
+    """The direct-sum path of resolvent_apply, forced on every point."""
+    a = branch_sqrt(m * m - z * z)
+    cell = greens._singular_cell(a, field.spacing)
+    pts = np.atleast_2d(pts)
+    return np.concatenate(
+        [greens._direct_apply(m, z, a, field, cell, pts[lo : lo + 128]) for lo in range(0, len(pts), 128)]
+    )
+
+
+def _grid_points(field):
+    return np.stack(np.meshgrid(field.x1, field.x2, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _spinor_field(x1, x2, sig=0.15, c2=0.5 - 0.3j):
+    g = np.exp(-(x1[:, None] ** 2 + x2[None, :] ** 2) / (2.0 * sig * sig))
+    return SampledField(x1, x2, g[..., None] * np.array([1.0, c2]))
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore:evaluation point within one cell")
+def test_node_path_matches_direct_sum_on_the_whole_grid(distinct_radii):
+    axis = np.linspace(-0.6, 0.6, 31)
+    field = _spinor_field(axis, axis)
+    pts = _grid_points(field)
+    for z in (0.5j, 0.3 + 0.5j, 0.3 - 0.5j):
+        assert _rel(resolvent_apply(1.0, z, field, pts), _direct_sum(1.0, z, field, pts)) <= 1e-12, z
+
+
+@pytest.mark.filterwarnings("ignore:evaluation point within one cell")
+def test_node_path_matches_direct_sum_on_a_rectangular_grid(distinct_radii):
+    field = _spinor_field(np.linspace(-0.6, 0.6, 21), np.linspace(-0.9, 0.9, 31))
+    pts = _grid_points(field)
+    assert _rel(resolvent_apply(1.0, 0.3 + 0.5j, field, pts), _direct_sum(1.0, 0.3 + 0.5j, field, pts)) <= 1e-12
+
+
+def test_node_path_single_target(distinct_radii):
+    axis = np.linspace(-0.6, 0.6, 31)
+    field = _spinor_field(axis, axis)
+    pt = (axis[17], axis[12])
+    got = resolvent_apply(1.0, 0.3 + 0.5j, field, pt)
+    assert got.shape == (2,)
+    assert _rel(got, _direct_sum(1.0, 0.3 + 0.5j, field, pt)[0]) <= 1e-12
+
+
+def test_mixed_batch_rows_equal_their_single_target_calls(distinct_radii):
+    axis = np.linspace(-0.6, 0.6, 31)
+    field = _spinor_field(axis, axis)
+    node = [(axis[15], axis[15]), (axis[3], axis[20]), (axis[22], axis[9])]
+    off = [(0.1, 0.2), (-0.013, 0.25), (axis[8] + 0.3 * field.spacing, axis[8])]
+    pts = np.array([node[0], off[0], node[1], off[1], off[2], node[2]])
+    on_node = np.array([True, False, True, False, False, True])
+    z = 0.3 - 0.5j
+    batch = resolvent_apply(1.0, z, field, pts)
+    singles = np.array([resolvent_apply(1.0, z, field, pt) for pt in pts])
+    assert np.array_equal(batch[on_node], singles[on_node])
+    assert _rel(batch[~on_node], singles[~on_node]) <= 1e-12
+    assert _rel(batch, _direct_sum(1.0, z, field, pts)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:evaluation point within one cell")
+def test_round_trip_gap_is_second_order_in_the_spacing():
+    # whole-grid (D - z) u - f by central differences at the interior nodes,
+    # relative to the source peak; the gap is close to 18 h^2 (README table)
+    m, z = 1.0, 0.5j
+    gaps = []
+    for count in (31, 61, 121, 201):
+        field = _gaussian_field(count=count)
+        h = field.spacing
+        u = resolvent_apply(m, z, field, _grid_points(field)).reshape(count, count, 2)
+        d1 = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h)
+        d2 = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h)
+        uc, fc = u[1:-1, 1:-1], field.values[1:-1, 1:-1]
+        r1 = -1j * d1[..., 1] - d2[..., 1] + (m - z) * uc[..., 0] - fc[..., 0]
+        r2 = -1j * d1[..., 0] + d2[..., 0] - (m + z) * uc[..., 1] - fc[..., 1]
+        gaps.append(max(np.max(np.abs(r1)), np.max(np.abs(r2))) / np.max(np.abs(field.values)))
+    lo, hi = RICHARDSON_RATIO_BOUNDS
+    assert lo <= gaps[0] / gaps[1] <= hi
+    assert lo <= gaps[1] / gaps[2] <= hi
+    assert gaps[3] < gaps[2]
+    assert gaps[1] <= RESOLVENT_ROUNDTRIP_TOL
+    print("round-trip gap at 31, 61, 121, 201 nodes per axis: " + ", ".join(f"{g:.3g}" for g in gaps))

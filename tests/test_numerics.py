@@ -160,6 +160,23 @@ def test_bessel_real_ray_memory_is_bounded_by_blocks():
     assert peak <= k0.nbytes + k1.nbytes + 3 * table, peak / 1e6
 
 
+def test_resolvent_whole_grid_memory_stays_on_the_node_path():
+    axis = np.linspace(-0.6, 0.6, 61)
+    g = np.exp(-(axis[:, None] ** 2 + axis[None, :] ** 2) / 0.045)
+    field = greens.SampledField(axis, axis, g[..., None] * np.array([1.0, 0.5 - 0.3j]))
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning):  # the boundary nodes
+            greens.resolvent_apply(1.0, 0.3 + 0.5j, field, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the offset table and FFT need about 12.5 MB for all 3721 nodes; the
+    # direct sum needs more than 100 MB for 5 of them at this z
+    assert peak <= 25e6, peak / 1e6
+
+
 def test_bessel_domain_checks_and_range_warning():
     with pytest.raises(ValueError):
         bessel_k(2, 1.0)
