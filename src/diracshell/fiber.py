@@ -68,15 +68,18 @@ def _require_in_gap(m: float, p, z) -> None:
 
 
 def _match_det_raw(eta: float, m: float, p, z):
-    """Matching determinant over broadcastable arrays of p and real z.
+    """Matching determinant at p and real z, both floats or broadcastable
+    float arrays.  Floats stay Python floats (the bisection's scalar calls
+    would spend most of their time in numpy's 0-d overhead); both give the
+    same bits.
 
     Columns of the homogeneous system in the coefficients (alpha, beta):
     A = (i sigma_2 - eta/2) up and B = -(i sigma_2 + eta/2) down, with
     i sigma_2 acting as (v1, v2) -> (v2, -v1).
     """
-    p = np.abs(np.asarray(p, dtype=float))
-    z = np.asarray(z, dtype=float)
-    kappa = np.sqrt(p * p + m * m - z * z)
+    sqrt = np.sqrt if isinstance(p, np.ndarray) or isinstance(z, np.ndarray) else math.sqrt
+    p = abs(p)
+    kappa = sqrt(p * p + m * m - z * z)
     lead = p + kappa
     up = (lead, z - m)
     down = (z + m, lead)
@@ -93,7 +96,7 @@ def matching_determinant(params: ShellParams, p, z):
     and z = 0 it vanishes identically in p (the flat band).  p and z
     broadcast: arrays give an array of determinants."""
     _require_in_gap(params.m, p, z)
-    det = _match_det_raw(params.eta, params.m, p, z)
+    det = _match_det_raw(params.eta, params.m, np.asarray(p, dtype=float), np.asarray(z, dtype=float))
     return complex(float(det)) if det.ndim == 0 else det.astype(complex)
 
 
@@ -108,6 +111,7 @@ def fiber_eigenvalue(params: ShellParams, p: float):
     ends halfway from it to the gap edge.  Undefined for eta in {0, +2, -2}.
     """
     params.require_band()
+    p = float(p)
     half = math.hypot(p, params.m)
     if half == 0.0:
         raise ValueError("empty fiber gap (m = 0 and p = 0)")
@@ -127,12 +131,12 @@ def fiber_eigenvalue(params: ShellParams, p: float):
             f"multiple sign changes of the matching determinant at p = {p!r}"
         )
     lo, hi = float(zs[flips[0]]), float(zs[flips[0] + 1])
-    f_lo = float(_match_det_raw(params.eta, params.m, p, lo))
+    f_lo = _match_det_raw(params.eta, params.m, p, lo)
     while hi - lo > FIBER_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats, as for |z| > 8192: no smaller bracket
             break
-        f_mid = float(_match_det_raw(params.eta, params.m, p, mid))
+        f_mid = _match_det_raw(params.eta, params.m, p, mid)
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):

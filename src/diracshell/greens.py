@@ -15,11 +15,13 @@ underlies the boundary-symbol computation, and applies the resolvent to
 sampled compactly supported data by node-sum quadrature with a dedicated
 polar rule on the singular cell.
 
-The quadrature has two paths that give the same sums.  At grid-node targets
-the kernel depends only on the integer offset between nodes, so it is
-tabulated once over the offsets (one Bessel ray on the distinct radii) and
-applied to the whole grid by zero-padded FFT; other targets take the direct
-sum, one kernel value per target-source pair.
+The kernel's three distinct entries are formed in one place,
+_kernel_terms, for the point kernel, the singular cell, the offset table
+and the direct sum alike.  The quadrature has two paths that give the same
+sums.  At grid-node targets the kernel depends only on the integer offset
+between nodes, so it is tabulated once over the offsets (one Bessel ray on
+the distinct radii) and applied to the whole grid by zero-padded FFT; other
+targets take the direct sum, one kernel value per target-source pair.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 def green_kernel(m: float, z: complex, x) -> Mat2C:
-    """Kernel matrix G_z(x) at a single point x != 0.
+    """Kernel matrix G_z(x) at a single point x != 0, from _kernel_terms.
 
     Domain errors for z on the free spectrum propagate from branch_sqrt
     (m^2 - z^2 lands on its cut exactly for real z with |z| >= |m|).
@@ -57,9 +59,10 @@ def green_kernel(m: float, z: complex, x) -> Mat2C:
     a = branch_sqrt(m * m - z * z)
     k0 = bessel_k(0, a * r)
     k1 = bessel_k(1, a * r)
-    angular = pauli(1).scale(x1 / r) + pauli(2).scale(x2 / r)
-    mass = pauli(0).scale(z) + pauli(3).scale(m)
-    return angular.scale(1j * a * k1 / _TWO_PI) + mass.scale(k0 / _TWO_PI)
+    c0, c1m, c1p = _kernel_terms(a, x1, x2, r, k0, k1, 1.0)
+    # the mass term z sigma_0 + m sigma_3 adds 0 off the diagonal, which
+    # turns an exactly vanishing -0 part of c1 phase into +0
+    return Mat2C((z + m) * c0, c1m + 0.0, c1p + 0.0, (z - m) * c0)
 
 
 def pde_residual(m: float, z: complex, x, h: float) -> Mat2C:
@@ -193,36 +196,32 @@ def _kernel_terms(a: complex, d1, d2, r, k0, k1, weight):
                            [c1 phase,           (z - m) c0   ]],
         c0 = weight K0 / 2 pi,  c1 = weight (i a / 2 pi) K1,  phase = (d1 + i d2) / r.
 
-    The direct sum and the offset table both assemble the kernel here."""
-    c0 = (weight * k0) / _TWO_PI
-    c1 = (weight * k1) * (1j * a / _TWO_PI)
-    phase = (d1 + 1j * d2) / r
-    return c0, c1 * np.conj(phase), c1 * phase
+    The one assembly of the kernel: for Python numbers (green_kernel at one
+    point) as for arrays (the singular cell's polar nodes, the offset table
+    and the direct sum)."""
+    c0 = weight * k0 / _TWO_PI
+    c1 = weight * (1j * a * k1 / _TWO_PI)
+    phase = d1 / r + 1j * (d2 / r)
+    return c0, c1 * phase.conjugate(), c1 * phase
 
 
 def _singular_cell(a: complex, h: float):
     """Integral of G_z over the square cell of side h centred at the
     singularity, as the entries (c0, c1 conj(phase), c1 phase) of
     _kernel_terms: midpoint rule in angle (16 nodes, kink-free placement),
-    Gauss-Legendre in radius up to the cell boundary.  The odd K_1 part
+    Gauss-Legendre in radius up to the cell boundary, so the kernel is
+    summed at polar nodes with weights r dr dtheta.  The odd K_1 part
     cancels by symmetry; the even K_0 part carries the log singularity,
     which the radial rule sees only through the bounded function r K_0."""
     n_ang = 16
     theta = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
-    w_ang = 2.0 * math.pi / n_ang
     rho = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
     t, w = np.polynomial.legendre.leggauss(8)
-    rr = 0.5 * rho[:, None] * (t[None, :] + 1.0)
-    ww = (0.5 * rho[:, None] * w[None, :]) * w_ang
-    r = rr.ravel()
+    r = 0.5 * rho[:, None] * (t[None, :] + 1.0)
+    weight = r * (0.5 * rho[:, None] * w[None, :]) * (2.0 * math.pi / n_ang)
     k0, k1 = bessel_k01_ray(a, r)
-    k0 = k0.reshape(rr.shape)
-    k1 = k1.reshape(rr.shape)
-    s0 = np.sum(ww * rr * k0)
-    s1c = np.sum(ww * rr * k1 * np.cos(theta)[:, None])
-    s1s = np.sum(ww * rr * k1 * np.sin(theta)[:, None])
-    c1 = 1j * a / _TWO_PI
-    return s0 / _TWO_PI, c1 * (s1c - 1j * s1s), c1 * (s1c + 1j * s1s)
+    terms = _kernel_terms(a, np.cos(theta)[:, None], np.sin(theta)[:, None], 1.0, k0, k1, weight)
+    return tuple(np.sum(term) for term in terms)
 
 
 def _smooth_length(n: int) -> int:
@@ -272,13 +271,13 @@ def _node_apply(m: float, z: complex, a: complex, f: SampledField, cell) -> np.n
 def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts) -> np.ndarray:
     """The quadrature of resolvent_apply at arbitrary points, shape (k, 2):
     one kernel value per target-source pair, in blocks of about 2e6 pairs.
-    The node nearest to a point within half a cell takes the singular cell."""
+    The node nearest to a point within half a cell takes the singular cell
+    in place of its kernel value."""
     h = f.spacing
     n1, n2 = f.x1.size, f.x2.size
     y1 = np.repeat(f.x1, n2)
     y2 = np.tile(f.x2, n1)
     w = f.values.reshape(-1, 2)
-    cell0, cell_m, cell_p = cell
     out = np.empty((pts.shape[0], 2), dtype=complex)
     block = max(1, 2_000_000 // (n1 * n2))
     for lo in range(0, pts.shape[0], block):
@@ -290,18 +289,13 @@ def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts) 
         rows = np.arange(sub.shape[0])
         off = np.maximum(np.abs(d1[rows, near]), np.abs(d2[rows, near]))
         sing = off <= 0.5 * h * (1.0 + 1e-12)
-        quad_w = np.full(r.shape, h * h)
-        quad_w[rows[sing], near[sing]] = 0.0
-        r[rows[sing], near[sing]] = 1.0  # placeholder, weight already zeroed
-
+        pair = rows[sing], near[sing]
+        r[pair] = 1.0  # placeholder, overwritten by the cell below
         k0, k1 = bessel_k01_ray(a, r)
-        c0, c1m, c1p = _kernel_terms(a, d1, d2, r, k0, k1, quad_w)
+        c0, c1m, c1p = _kernel_terms(a, d1, d2, r, k0, k1, h * h)
+        c0[pair], c1m[pair], c1p[pair] = cell
         u1 = c0 @ ((z + m) * w[:, 0]) + c1m @ w[:, 1]
         u2 = c1p @ w[:, 0] + c0 @ ((z - m) * w[:, 1])
-        if np.any(sing):
-            wn = w[near[sing]]
-            u1[sing] += (z + m) * cell0 * wn[:, 0] + cell_m * wn[:, 1]
-            u2[sing] += cell_p * wn[:, 0] + (z - m) * cell0 * wn[:, 1]
         out[lo : lo + block] = np.stack([u1, u2], axis=1)
     return out
 

@@ -12,15 +12,15 @@ Conventions
       K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0.
 
   On the positive real axis a trapezoid rule on the even integrand halves
-  its step until it converges.  A batch is banded by the power of two of
-  the tail cutoff acosh(1 + 55/w), and each band is cut into blocks of at
-  most _REAL_BLOCK arguments that share one exponential table between both
-  orders, so neither a few tiny arguments nor a large batch inflate the
-  table.  Off the axis the path is bent onto the ray Im t = -arg(w), which
-  removes the oscillation of the integrand at infinity, and both pieces
-  are integrated by tanh-sinh quadrature in blocks of _ROTATED_BLOCK.  No
-  special-function library is involved, so the mpmath oracle used in the
-  tests is a genuinely independent check.
+  its step until it converges; both orders share one exponential table.
+  Off the axis the path is bent onto the ray Im t = -arg(w), which removes
+  the oscillation of the integrand at infinity, and both pieces are
+  integrated by tanh-sinh quadrature.  A batch goes through one loop: band
+  by band (on the real axis the power of two of the tail cutoff
+  acosh(1 + 55/w); off it a single band), in blocks of at most _BLOCK
+  arguments, so neither a few tiny arguments nor a large batch inflate the
+  tables.  No special-function library is involved, so the mpmath oracle
+  used in the tests is a genuinely independent check.
 * Mat2C holds a 2x2 matrix, or an array of them when its entries are
   arrays; the symbol functions return it in both forms.
 """
@@ -141,8 +141,7 @@ def _tail_cutoff(scale: float, order: int, drop: float = 55.0) -> float:
     return u
 
 
-_REAL_BLOCK = 4096      # radii per trapezoid table on the real axis
-_ROTATED_BLOCK = 16384  # radii per tanh-sinh batch off the axis
+_BLOCK = 4096  # radii per trapezoid table or tanh-sinh batch
 
 
 def _k01_trapezoid(a: float, r: np.ndarray, rel_tol: float):
@@ -209,7 +208,7 @@ def _real_bands(x: np.ndarray):
         upper = lower
 
 
-def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float = BESSEL_TARGET_TOL):
+def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float):
     """K0(a r) and K1(a r) for positive radii r along the ray arg = arg(a).
 
     The contour [0, inf) is bent into the vertical segment t = -i s,
@@ -249,11 +248,11 @@ def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float = BESSEL_TARGET_T
 def bessel_k01_ray(a: complex, r):
     """K0 and K1 at a*r for an array of positive radii r, with Re a > 0.
 
-    Batch companion of bessel_k, and the one owner of the memory bound: a
-    real ray goes through the trapezoid band by band (_real_bands) in
-    blocks of _REAL_BLOCK radii, a rotated ray through tanh-sinh in blocks
-    of _ROTATED_BLOCK.  Returns the pair (k0, k1) of complex arrays shaped
-    like r; RuntimeError when a block misses BESSEL_TARGET_TOL.
+    Batch companion of bessel_k, and the one owner of the memory bound: the
+    radii go band by band, in blocks of at most _BLOCK, through the
+    trapezoid on a real ray (bands from _real_bands) or through tanh-sinh
+    on a rotated one (a single band).  Returns the pair (k0, k1) of complex
+    arrays shaped like r; RuntimeError when a block misses BESSEL_TARGET_TOL.
     """
     a = complex(a)
     if a.real <= 0.0:
@@ -266,17 +265,17 @@ def bessel_k01_ray(a: complex, r):
         msg = f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {top:.3g})"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     flat = r.ravel()
-    if a.imag != 0.0:
-        step = _ROTATED_BLOCK
-        parts = [_k01_rotated_ray(a, flat[lo : lo + step]) for lo in range(0, flat.size, step)]
-        return tuple(np.concatenate(k).reshape(r.shape) for k in zip(*parts))
+    if a.imag == 0.0:
+        ray, scale, bands = _k01_trapezoid, a.real, _real_bands(a.real * flat)
+    else:
+        ray, scale, bands = _k01_rotated_ray, a, (slice(None),)
     k0 = np.empty(flat.size, dtype=complex)
     k1 = np.empty(flat.size, dtype=complex)
-    for band in _real_bands(a.real * flat):
+    for band in bands:
         whole = isinstance(band, slice)  # a one-band batch, cut by slices
-        for lo in range(0, flat.size if whole else band.size, _REAL_BLOCK):
-            sel = slice(lo, lo + _REAL_BLOCK) if whole else band[lo : lo + _REAL_BLOCK]
-            k0[sel], k1[sel] = _k01_trapezoid(a.real, flat[sel], BESSEL_TARGET_TOL)
+        for lo in range(0, flat.size if whole else band.size, _BLOCK):
+            sel = slice(lo, lo + _BLOCK) if whole else band[lo : lo + _BLOCK]
+            k0[sel], k1[sel] = ray(scale, flat[sel], BESSEL_TARGET_TOL)
     return k0.reshape(r.shape), k1.reshape(r.shape)
 
 
@@ -291,10 +290,6 @@ def bessel_k(order: int, w: complex) -> complex:
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order!r}")
     w = complex(w)
-    if w.real <= 0.0:
-        raise ValueError(
-            f"bessel_k requires Re w > 0 (Laplace-type representation), got {w!r}"
-        )
     k0, k1 = bessel_k01_ray(w, np.array([1.0]))
     out = (k0 if order == 0 else k1)[0]
     if w.imag == 0.0:

@@ -34,6 +34,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -126,16 +127,17 @@ class ShellParams:
     def critical(self) -> bool:
         return self.eta_exact == 2 or self.eta_exact == -2
 
-    # the in-gap band in exact arithmetic: the one source of its side, edge and momenta
+    # the in-gap band in exact arithmetic: the one source of its side, edge and
+    # momenta, worked out once per instance (the fiber oracle asks per momentum)
 
-    @property
+    @cached_property
     def band_sign(self) -> int:
         """Sign of eta (eta^2 - 4): the gap side (-1 or +1) of the in-gap
         band, 0 at eta in {0, +2, -2}, where there is none."""
         s = self.eta_exact * (self.eta_exact * self.eta_exact - 4)
         return (s > 0) - (s < 0)
 
-    @property
+    @cached_property
     def band_ratio(self) -> Fraction:
         """|eta^2 - 4| / (eta^2 + 4): the band edge in units of |m|."""
         e2 = self.eta_exact * self.eta_exact
@@ -358,11 +360,12 @@ def limit_sup_table(params: ShellParams, x: float, y_list=DEFAULT_SUP_Y, p_grid=
     vanish when the dispersion function has real zeros: at a critical
     momentum pc the inverse grows like 1/y.  At a fixed node p the product
     behaves like y / (y + |p - pc|), so it decays linearly in y only once y
-    is well below the node's distance from pc.  The table therefore leaves
-    out the two nodes of every grid cell (consecutive nodes of the sorted
-    grid) that contains a critical momentum; over the remaining nodes the
-    sampled sup decays linearly in y, which is the strong-resolvent
-    statement this table diagnoses.  Requires |x| >= |m|.
+    is well below the node's distance from pc.  The table therefore keeps
+    only the nodes at distance at least max(y_list) from every critical
+    momentum, where that model stays within a factor 2 of y / |p - pc| for
+    every y of the table; over them the sampled sup decays linearly in y,
+    which is the strong-resolvent statement this table diagnoses.
+    Requires |x| >= |m|.
     """
     _require_coupled(params)
     x = float(x)
@@ -374,14 +377,9 @@ def limit_sup_table(params: ShellParams, x: float, y_list=DEFAULT_SUP_Y, p_grid=
         raise ValueError("p grid needs at least 2 nodes")
     crit = critical_momenta(params, x)
     if crit is not None:
-        pc = np.array(crit)[:, None]
-        cell = np.any((grid[:-1] <= pc) & (pc <= grid[1:]), axis=0)
-        keep = np.ones(grid.size, dtype=bool)
-        keep[:-1] &= ~cell
-        keep[1:] &= ~cell
-        grid = grid[keep]
+        grid = grid[np.min(np.abs(grid[:, None] - np.array(crit)), axis=1) >= max(ys)]
         if grid.size == 0:
-            raise ValueError("every grid node borders a critical momentum")
+            raise ValueError("every grid node lies within max(y_list) of a critical momentum")
     rows = []
     for y in ys:
         inv = boundary_symbol_inverse(params, SymbolPoint.create(grid, complex(x, y), params.m))

@@ -5,11 +5,13 @@ import math
 import re
 import time
 import warnings
+from pathlib import Path
 
 from diracshell import cli
 from diracshell.cli import main
 from diracshell.spectrum import SpectrumDescription, full_spectrum
 from diracshell.symbol import ShellParams, SymbolPoint, boundary_det
+from diracshell.tolerances import QUASIMODE_RESIDUAL_TOL
 
 
 def run(capsys, *args):
@@ -241,6 +243,13 @@ FROZEN_DOCUMENTS = {
         '15117334152,0.19362258155137699],"a21":[0.089919774537096681,0.2028112698694'
         '9941],"a22":[-0.09248622899936669,0.04952151692077765]}}'
     ),
+    # Re a21 is a product with a zero plus the mass term's zero: it prints 0, not -0
+    'greens_signed_zero': (
+        '{"schema":"dirac-shell/1","m":1,"z":[0,0.5],"x":[-2,0],"kernel":{"a11":[0.013'
+        '602314554671162,0.0068011572773355811],"a12":[0,-0.018333469282116328],"a21":'
+        '[0,-0.018333469282116328],"a22":[-0.013602314554671162,0.0068011572773355811]'
+        '}}'
+    ),
 }
 
 FROZEN_ARGV = {
@@ -252,6 +261,7 @@ FROZEN_ARGV = {
                         "--p-min", "0", "--p-max", "1", "--p-count", "2"),
     "greens_imag": ("greens-eval", "--m", "1", "--z", "0.5j"),
     "greens_complex": ("greens-eval", "--m", "1", "--z", "0.3+0.5j", "--x1", "0.5", "--x2", "-0.25"),
+    "greens_signed_zero": ("greens-eval", "--m", "1", "--z", "0.5j", "--x1", "-2", "--x2", "0"),
 }
 
 
@@ -282,7 +292,7 @@ def test_quasimode_document(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["energy"] + 0.6) <= 1e-15
-    assert 0.0 < doc["residual"] < 0.05
+    assert 0.0 < doc["residual"] < QUASIMODE_RESIDUAL_TOL
     code, _ = run(capsys, "quasimode", "--eta", "2", "--m", "1")
     assert code == 3
 
@@ -306,6 +316,19 @@ def test_verify_oracle_finds_bands_inside_the_gap_margin(capsys):
         assert code == 0, eta
         (row,) = json.loads(out)["checks"]
         assert row["status"] == "pass", (eta, row)
+
+
+def test_verify_oracle_reports_a_missing_fiber_root(capsys):
+    # at eta = 1e9 the band lies within rounding of the fiber-gap edge, so
+    # the scan brackets no root and the row fails without a measured value
+    code, out = run(capsys, "verify", "--suite", "oracle", "--eta", "1e9", "--m", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    (row,) = doc["checks"]
+    assert row["measured"] is None
+    assert row["status"] == "fail"
+    assert row["reason"] == "no fiber root found at p = 0"
 
 
 def test_verify_marks_uncoupled_parameters_not_applicable(capsys):
@@ -493,3 +516,15 @@ def test_results_that_overflow_are_domain_errors(capsys):
             code, out = run(capsys, *argv)
         assert code == 3, argv
         assert out == ""
+
+
+def test_readme_command_line_examples_run(capsys):
+    # every dirac-shell line of the README's "Command line" block exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("dirac-shell ")]
+    assert lines
+    for argv in lines:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        assert out

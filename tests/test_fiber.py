@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diracshell.fiber import (
+    _match_det_raw,
     fiber_eigenvalue,
     kernel_at_zero_scan,
     matching_determinant,
@@ -18,6 +19,7 @@ from diracshell.tolerances import (
     CRITICAL_KERNEL_TOL,
     NONCRITICAL_KERNEL_FLOOR,
     ORACLE_DISPERSION_TOL,
+    QUASIMODE_RESIDUAL_TOL,
 )
 
 
@@ -96,6 +98,12 @@ def test_matching_determinant_broadcasts():
             assert det[i, j] == matching_determinant(par, float(p[i, 0]), float(z[j]))
     with pytest.raises(ValueError):
         matching_determinant(par, p, np.array([0.0, 1.0]))  # z = 1 is a gap endpoint at p = 0
+    # the Python-float path that fiber_eigenvalue bisects with gives the same bits
+    ps, zs = np.linspace(-3.0, 3.0, 25), np.linspace(-0.9, 0.9, 19)
+    grid = matching_determinant(par, ps[:, None], zs)
+    for i, pv in enumerate(ps):
+        for j, zv in enumerate(zs):
+            assert grid[i, j] == _match_det_raw(par.eta, par.m, float(pv), float(zv))
 
 
 # ----------------------------------------------------------------------------
@@ -187,7 +195,7 @@ def test_quasimode_residual_decreases_with_width():
     for p0 in (0.0, 2.0):
         r = [quasimode_residual(par, p0, w) for w in (0.5, 0.25, 0.125)]
         assert r[0] > r[1] > r[2] > 0.0
-    assert quasimode_residual(par, 0.0, 0.125) < 0.05
+    assert quasimode_residual(par, 0.0, 0.125) < QUASIMODE_RESIDUAL_TOL
 
 
 def test_quasimode_residual_slope_oracle():

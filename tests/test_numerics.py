@@ -77,11 +77,16 @@ def test_bessel_matches_oracle_complex_arguments():
 
 def test_bessel_ray_matches_scalar_calls():
     r = np.array([0.2, 0.7, 1.0, 3.5, 9.0, 20.0])
+    # more radii than one block holds, checked on both sides of the seam
+    long = np.random.default_rng(5).permutation(np.geomspace(0.05, 20.0, 4100))
+    seam = [0, 4095, 4096, 4099]
     for a in (1.0, 0.4, complex(1.0, 0.8), complex(0.3, -0.25)):
-        k0, k1 = bessel_k01_ray(a, r)
-        for i, ri in enumerate(r):
-            assert abs(k0[i] - bessel_k(0, a * ri)) <= 1e-12 * abs(k0[i])
-            assert abs(k1[i] - bessel_k(1, a * ri)) <= 1e-12 * abs(k1[i])
+        for radii, picks in ((r, range(r.size)), (long, seam)):
+            k0, k1 = bessel_k01_ray(a, radii)
+            for i in picks:
+                assert abs(k0[i] - bessel_k(0, a * radii[i])) <= 1e-12 * abs(k0[i])
+                assert abs(k1[i] - bessel_k(1, a * radii[i])) <= 1e-12 * abs(k1[i])
+        assert [k.shape for k in bessel_k01_ray(a, np.empty((0, 3)))] == [(0, 3), (0, 3)]
 
 
 def _fourier_pair_radii(monkeypatch, kappa=1.0):

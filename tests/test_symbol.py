@@ -309,13 +309,14 @@ def test_limit_sup_table_decays_linearly_in_y():
 
 
 def test_limit_sup_table_leaves_out_critical_cells():
-    # eta = 6, m = 2: the critical momenta at x = 2 are exactly +-1.5
+    # eta = 6, m = 2: the critical momenta at x = 2 are exactly +-1.5, and
+    # the largest y of the table is 0.1; no node sits at distance 0.1
     par = ShellParams.from_decimal("6", "2")
     cases = (
-        # +-1.5 are nodes, so both cells around each go: +-1, +-1.5, +-2
-        (np.linspace(-3.0, 3.0, 13), [0, 1, 5, 6, 7, 11, 12]),
-        # +-1.5 lie inside the cells [-1.6, -0.8] and [0.8, 1.6]
-        (np.linspace(-3.2, 3.2, 9), [0, 1, 4, 7, 8]),
+        # +-1.5 are nodes, and only they go; +-1 and +-2 are 0.5 away
+        (np.linspace(-3.0, 3.0, 13), [0, 1, 2, 4, 5, 6, 7, 8, 10, 11, 12]),
+        # +-1.56 are 0.06 away and go; +-1.32, 0.18 away, stay
+        (np.linspace(-1.8, 1.8, 16), [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15]),
     )
     for grid, kept in cases:
         rows = limit_sup_table(par, 2.0, p_grid=grid)
@@ -323,6 +324,8 @@ def test_limit_sup_table_leaves_out_critical_cells():
             inv = boundary_symbol_inverse(par, SymbolPoint.create(grid[kept], 2.0 + 1j * y, 2.0))
             assert abs(value - y * np.max(inv.max_abs())) <= 1e-15 * value
         assert rows[-1][1] < 0.05 * rows[0][1]
+    with pytest.raises(ValueError, match="within max"):
+        limit_sup_table(par, 2.0, p_grid=[-1.55, 1.45, 1.55])
 
 
 def test_limit_sup_table_domain():
