@@ -10,7 +10,6 @@ import numpy as np
 
 from diracshell import (
     ShellParams,
-    SymbolPoint,
     boundary_det,
     boundary_symbol,
     boundary_symbol_inverse,
@@ -27,10 +26,9 @@ print(f"identities at eta = {params.eta:g}, m = {params.m:g}, z = {z}")
 print(f"{'p':>6}  {'|det gap|':>10}  {'|prod - I|':>10}  {'|split - theta|':>15}")
 rng = np.random.default_rng(7)
 for p in (0.0, 0.5, 2.0, 10.0):
-    pt = SymbolPoint.create(p, z, params.m)
-    theta = boundary_symbol(params, pt)
-    det_gap = abs(boundary_det(params, pt) - theta.det())
-    prod = theta @ boundary_symbol_inverse(params, pt)
+    theta = boundary_symbol(params, p, z)
+    det_gap = abs(boundary_det(params, p, z) - theta.det())
+    prod = theta @ boundary_symbol_inverse(params, p, z)
     prod_gap = (prod - prod.identity()).max_abs()
     zeta = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
     split = reference_symbol(params, zeta, p) - weyl_symbol(params, z, zeta, p)

@@ -8,8 +8,10 @@ Output conventions: JSON documents carry "schema": "dirac-shell/1" and
 every float is printed with 17 significant digits, which round-trips the
 binary value exactly, so identical configurations produce byte-identical
 output.  CSV uses a plain "p,z" header and '.' decimals regardless of
-locale.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error, 3 domain error.
+locale.  Each subcommand returns its document (or its CSV text) and main
+alone writes it, to stdout or --out.  Exit codes: 0 success, 1
+verification failure, 2 usage or parse error or an unwritable --out, 3
+domain error.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .spectrum import band_edge, dispersion_energy, full_spectrum
 from .symbol import (
     ShellParams,
     SingularSymbolError,
-    SymbolPoint,
     boundary_det,
     boundary_symbol,
     boundary_symbol_inverse,
@@ -43,8 +44,6 @@ from .symbol import (
 )
 
 SCHEMA = "dirac-shell/1"
-
-VERIFY_SUITES = ("symbol", "oracle", "critical", "limits", "greens", "all")
 
 # the tolerances the suites read as tols["..."]: the only keys --tol-override takes
 VERIFY_TOLERANCES = (
@@ -235,10 +234,9 @@ def suite_symbol(params: ShellParams, tols: dict, samples: int = 1000) -> list:
     )
     anchor_a = default_anchor(params)
     anchor_b = 0.7 - 1.3j
-    pt = SymbolPoint.create(p, z, params.m)
-    theta = boundary_symbol(params, pt)
-    closed = boundary_det(params, pt)
-    prod = theta @ boundary_symbol_inverse(params, pt)
+    theta = boundary_symbol(params, p, z)
+    closed = boundary_det(params, p, z)
+    prod = theta @ boundary_symbol_inverse(params, p, z)
     split_a = reference_symbol(params, anchor_a, p) - weyl_symbol(params, z, anchor_a, p)
     split_b = reference_symbol(params, anchor_b, p) - weyl_symbol(params, z, anchor_b, p)
     scale = np.maximum(1.0, theta.max_abs())
@@ -342,28 +340,24 @@ _SUITES = {
     "greens": suite_greens,
 }
 
+VERIFY_SUITES = (*_SUITES, "all")
+
 
 def run_suite(name: str, params: ShellParams, tols: dict) -> list:
-    if name == "all":
-        checks = []
-        for key in ("symbol", "oracle", "critical", "limits", "greens"):
-            checks.extend(_SUITES[key](params, tols))
-        return checks
-    return _SUITES[name](params, tols)
+    """The checks of one suite, or of every suite in _SUITES order for "all"."""
+    keys = _SUITES if name == "all" else (name,)
+    return [check for key in keys for check in _SUITES[key](params, tols)]
 
 
 # ----------------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    params = _params(args)
-    doc = {"schema": SCHEMA, **full_spectrum(params).to_dict()}
-    _output(_dumps(doc), args.out)
-    return 0
+def cmd_spectrum(args) -> dict:
+    return full_spectrum(_params(args)).to_dict()
 
 
-def cmd_band_edges(args) -> int:
+def cmd_band_edges(args) -> dict:
     params = _params(args)
     edge = band_edge(params)
     if params.m == 0.0:
@@ -372,89 +366,73 @@ def cmd_band_edges(args) -> int:
         side = "negative" if params.band_sign < 0 else "positive"
     else:
         side = "flat-band" if params.critical else "free"
-    doc = {
-        "schema": SCHEMA,
+    return {
         "eta": params.eta,
         "m": params.m,
         "gap_edge": abs(params.m),
         "band_edge": edge,
         "side": side,
     }
-    _output(_dumps(doc), args.out)
-    return 0
 
 
-def cmd_dispersion(args) -> int:
+def cmd_dispersion(args):
     params = _params(args)
     grid = _grid(args)
     rows = [(float(p), dispersion_energy(params, float(p))) for p in grid]
     if args.format == "csv":
-        _output(_csv(rows), args.out)
-    else:
-        doc = {
-            "schema": SCHEMA,
-            "eta": params.eta,
-            "m": params.m,
-            "rows": [{"p": p, "z": z} for p, z in rows],
-        }
-        _output(_dumps(doc), args.out)
-    return 0
+        return _csv(rows)
+    return {
+        "eta": params.eta,
+        "m": params.m,
+        "rows": [{"p": p, "z": z} for p, z in rows],
+    }
 
 
-def cmd_symbol_eval(args) -> int:
+def cmd_symbol_eval(args) -> dict:
     params = _params(args)
     grid = _grid(args)
     z, zeta = args.z, args.zeta
     rows = []
     for p in grid:
         p = float(p)
-        pt = SymbolPoint.create(p, z, params.m)
         row = {
             "p": p,
-            "theta": _mat(boundary_symbol(params, pt)),
-            "det": _cx(boundary_det(params, pt)),
-            "dispersion": _cx(dispersion_function(params, pt)),
+            "theta": _mat(boundary_symbol(params, p, z)),
+            "det": _cx(boundary_det(params, p, z)),
+            "dispersion": _cx(dispersion_function(params, p, z)),
         }
         try:
-            row["inv_max_abs"] = boundary_symbol_inverse(params, pt).max_abs()
+            row["inv_max_abs"] = boundary_symbol_inverse(params, p, z).max_abs()
         except SingularSymbolError:
             row["inv_max_abs"] = None
         if zeta is not None:
             row["reference"] = _mat(reference_symbol(params, zeta, p))
             row["weyl"] = _mat(weyl_symbol(params, z, zeta, p))
         rows.append(row)
-    doc = {
-        "schema": SCHEMA,
+    return {
         "eta": params.eta,
         "m": params.m,
         "z": _cx(z),
         "zeta": _cx(zeta) if zeta is not None else None,
         "rows": rows,
     }
-    _output(_dumps(doc), args.out)
-    return 0
 
 
-def cmd_greens_eval(args) -> int:
+def cmd_greens_eval(args) -> dict:
     m, z = args.m, args.z
     x = (args.x1, args.x2)
-    kernel = green_kernel(m, z, x)
-    doc = {
-        "schema": SCHEMA,
+    return {
         "m": m,
         "z": _cx(z),
         "x": [x[0], x[1]],
-        "kernel": _mat(kernel),
+        "kernel": _mat(green_kernel(m, z, x)),
     }
-    _output(_dumps(doc), args.out)
-    return 0
 
 
-def cmd_quasimode(args) -> int:
+def cmd_quasimode(args) -> dict:
     params = _params(args)
     residual = quasimode_residual(params, args.p0, args.width)
-    doc = {
-        "schema": SCHEMA,
+    return {
         "eta": params.eta,
         "m": params.m,
         "p0": args.p0,
@@ -462,25 +440,18 @@ def cmd_quasimode(args) -> int:
         "energy": dispersion_energy(params, args.p0),
         "residual": residual,
     }
-    _output(_dumps(doc), args.out)
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     params = _params(args)
-    tols = _tol_table(args.tol_override)
-    checks = run_suite(args.suite, params, tols)
-    ok = all(row["status"] != "fail" for row in checks)
-    doc = {
-        "schema": SCHEMA,
+    checks = run_suite(args.suite, params, _tol_table(args.tol_override))
+    return {
         "suite": args.suite,
         "eta": params.eta,
         "m": params.m,
         "checks": checks,
-        "pass": ok,
+        "pass": all(row["status"] != "fail" for row in checks),
     }
-    _output(_dumps(doc), args.out)
-    return 0 if ok else 1
 
 
 # ----------------------------------------------------------------------------
@@ -575,20 +546,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand and write what it returns: a document gets the
+    schema and exits 1 when it says "pass": false; CSV text goes as is."""
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        result = args.func(args)
+        text = result if isinstance(result, str) else _dumps({"schema": SCHEMA, **result})
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    try:
+        _output(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 1 if isinstance(result, dict) and result.get("pass") is False else 0
 
 
 def entry() -> None:

@@ -38,7 +38,6 @@ import math
 import numpy as np
 
 from .numerics import tanh_sinh
-from .spectrum import dispersion_energy
 from .symbol import ShellParams
 from .tolerances import (
     FIBER_BISECT_TOL,
@@ -177,9 +176,8 @@ def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:
     that z(p0) belongs to the spectrum."""
     if width <= 0.0:
         raise ValueError(f"envelope width must be positive, got {width!r}")
-    z0 = dispersion_energy(params, p0)
-    # z(p) = scale * sqrt(p^2 + m^2); recover the constant from one sample.
-    scale = dispersion_energy(params, 1.0) / math.hypot(1.0, params.m)
+    # z(p) = scale * sqrt(p^2 + m^2), the band of dispersion_energy
+    scale = params.require_band() * float(params.band_ratio)
     m = params.m
 
     def envelope_sq(p):
@@ -187,20 +185,13 @@ def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:
         return np.exp(-0.5 * d * d)
 
     def weighted(p):
-        z = scale * np.sqrt(p * p + m * m)
-        return envelope_sq(p) * (z - z0) ** 2
-
-    def weighted_stable(p):
+        # z(p) - z(p0) without the cancellation near the band's extremum
         dz = scale * (p - p0) * (p + p0) / (np.sqrt(p * p + m * m) + math.hypot(p0, m))
         return envelope_sq(p) * dz * dz
 
+    # for |m| << width the band has a corner at p = 0: one piece on each side
     lo, hi = p0 - 8.0 * width, p0 + 8.0 * width
-    try:
-        num = tanh_sinh(weighted, lo, hi)
-    except RuntimeError:
-        # z - z0 cancels near the band's extremum, and for |m| << width the band
-        # has a corner at p = 0: integrate a cancellation-free form on each side
-        cut = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
-        num = sum(tanh_sinh(weighted_stable, a, b) for a, b in zip(cut, cut[1:]))
+    cut = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    num = sum(tanh_sinh(weighted, a, b) for a, b in zip(cut, cut[1:]))
     den = tanh_sinh(envelope_sq, lo, hi)
     return math.sqrt(float(num.real) / float(den.real))

@@ -268,16 +268,19 @@ def _node_apply(m: float, z: complex, a: complex, f: SampledField, cell) -> np.n
     return np.moveaxis(u[:, n1 - 1 : 2 * n1 - 1, n2 - 1 : 2 * n2 - 1], 0, 2)
 
 
-def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts) -> np.ndarray:
+def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts, i, j) -> np.ndarray:
     """The quadrature of resolvent_apply at arbitrary points, shape (k, 2):
     one kernel value per target-source pair, in blocks of about 2e6 pairs.
-    The node nearest to a point within half a cell takes the singular cell
-    in place of its kernel value."""
+    Each point's nearest node (i, j), from _node_index, takes the singular
+    cell in place of its kernel value when the point lies within half a
+    cell of it."""
     h = f.spacing
     n1, n2 = f.x1.size, f.x2.size
     y1 = np.repeat(f.x1, n2)
     y2 = np.tile(f.x2, n1)
     w = f.values.reshape(-1, 2)
+    off = np.maximum(np.abs(pts[:, 0] - f.x1[i]), np.abs(pts[:, 1] - f.x2[j]))
+    sing = off <= 0.5 * h * (1.0 + 1e-12)
     out = np.empty((pts.shape[0], 2), dtype=complex)
     block = max(1, 2_000_000 // (n1 * n2))
     for lo in range(0, pts.shape[0], block):
@@ -285,11 +288,8 @@ def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts) 
         d1 = sub[:, 0][:, None] - y1[None, :]
         d2 = sub[:, 1][:, None] - y2[None, :]
         r = np.hypot(d1, d2)
-        near = np.argmin(r, axis=1)
-        rows = np.arange(sub.shape[0])
-        off = np.maximum(np.abs(d1[rows, near]), np.abs(d2[rows, near]))
-        sing = off <= 0.5 * h * (1.0 + 1e-12)
-        pair = rows[sing], near[sing]
+        rows = np.flatnonzero(sing[lo : lo + block])
+        pair = rows, i[lo + rows] * n2 + j[lo + rows]
         r[pair] = 1.0  # placeholder, overwritten by the cell below
         k0, k1 = bessel_k01_ray(a, r)
         c0, c1m, c1p = _kernel_terms(a, d1, d2, r, k0, k1, h * h)
@@ -363,5 +363,5 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
     if np.any(on_node):
         out[on_node] = _node_apply(m, z, a, f, cell)[i[on_node], j[on_node]]
     if not np.all(on_node):
-        out[~on_node] = _direct_apply(m, z, a, f, cell, pts[~on_node])
+        out[~on_node] = _direct_apply(m, z, a, f, cell, pts[~on_node], i[~on_node], j[~on_node])
     return out[0] if single else out

@@ -17,10 +17,10 @@ Conventions
   the oscillation of the integrand at infinity, and both pieces are
   integrated by tanh-sinh quadrature.  A batch goes through one loop: band
   by band (on the real axis the power of two of the tail cutoff
-  acosh(1 + 55/w); off it a single band), in blocks of at most _BLOCK
-  arguments, so neither a few tiny arguments nor a large batch inflate the
-  tables.  No special-function library is involved, so the mpmath oracle
-  used in the tests is a genuinely independent check.
+  acosh(1 + _TAIL_DROP/w); off it a single band), in blocks of at most
+  _BLOCK arguments, so neither a few tiny arguments nor a large batch
+  inflate the tables.  No special-function library is involved, so the
+  mpmath oracle used in the tests is a genuinely independent check.
 * Mat2C holds a 2x2 matrix, or an array of them when its entries are
   arrays; the symbol functions return it in both forms.
 """
@@ -132,12 +132,15 @@ def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-13, max_level: int = 12
 # modified Bessel K0 / K1
 # ============================================================================
 
-def _tail_cutoff(scale: float, order: int, drop: float = 55.0) -> float:
-    """Smallest U with scale*(cosh U - 1) >= drop + order*U (monotone, so a
+_TAIL_DROP = 55.0  # the integrand's tail is cut where it has fallen by exp(-_TAIL_DROP)
+
+
+def _tail_cutoff(scale: float) -> float:
+    """Smallest U with scale*(cosh U - 1) >= _TAIL_DROP + U (monotone, so a
     couple of fixed-point passes suffice)."""
-    u = math.acosh(1.0 + drop / scale)
+    u = math.acosh(1.0 + _TAIL_DROP / scale)
     for _ in range(3):
-        u = math.acosh(1.0 + (drop + order * u + math.log1p(u)) / scale)
+        u = math.acosh(1.0 + (_TAIL_DROP + u + math.log1p(u)) / scale)
     return u
 
 
@@ -154,7 +157,7 @@ def _k01_trapezoid(a: float, r: np.ndarray, rel_tol: float):
     orders share the table; RuntimeError if 14 halvings miss rel_tol.
     """
     x = a * r
-    u_max = _tail_cutoff(float(np.min(x)), 1)
+    u_max = _tail_cutoff(float(np.min(x)))
     n = 16
     def _trap(rows, h):
         return h * (0.5 * (rows[:, 0] + rows[:, -1]) + rows[:, 1:-1].sum(axis=1))
@@ -188,22 +191,22 @@ def _k01_trapezoid(a: float, r: np.ndarray, rel_tol: float):
 
 def _real_bands(x: np.ndarray):
     """The bands of positive reals that share the binary exponent of their
-    leading tail cutoff acosh(1 + 55/x), as index arrays.  That exponent
-    falls as x grows, so each band is an interval of x, found with two
-    comparisons per radius; the outer bands are open-ended.  A batch inside
-    one band, such as a single radius, is yielded whole as slice(None), with
-    no mask and no fancy indexing."""
+    leading tail cutoff acosh(1 + _TAIL_DROP/x), as index arrays.  That
+    exponent falls as x grows, so each band is an interval of x, found with
+    two comparisons per radius; the outer bands are open-ended.  A batch
+    inside one band, such as a single radius, is yielded whole as
+    slice(None), with no mask and no fancy indexing."""
     if not x.size:
         return
-    octaves = (math.frexp(math.acosh(1.0 + 55.0 / float(f(x))))[1] for f in (np.max, np.min))
+    octaves = (math.frexp(math.acosh(1.0 + _TAIL_DROP / float(f(x))))[1] for f in (np.max, np.min))
     first, last = sorted(octaves)
     if first == last:
         yield slice(None)
         return
     upper = math.inf
     for e in range(first, last + 1):
-        # acosh(1 + 55/x) = 2^e at x = 55 / (cosh 2^e - 1)
-        lower = 55.0 / (2.0 * math.sinh(math.ldexp(1.0, e - 1)) ** 2) if e < last else 0.0
+        # acosh(1 + _TAIL_DROP/x) = 2^e at x = _TAIL_DROP / (cosh 2^e - 1)
+        lower = _TAIL_DROP / (2.0 * math.sinh(math.ldexp(1.0, e - 1)) ** 2) if e < last else 0.0
         yield np.flatnonzero((x > lower) & (x <= upper))
         upper = lower
 
@@ -231,7 +234,7 @@ def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float):
 
     # horizontal ray: int_0^U exp(-w cosh(u - i phi)) cosh(nu (u - i phi)) du
     scale = float(np.min(np.abs(w))) * max(math.cos(phi) ** 2, 1e-12)
-    u_max = _tail_cutoff(scale, 1)
+    u_max = _tail_cutoff(scale)
 
     def seg2(nu):
         def f(u):

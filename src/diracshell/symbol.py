@@ -17,9 +17,11 @@ matrix.  This module evaluates those multiplier matrices:
 * limit_sup_table / limit_im_table -- boundary-value diagnostics of the
   inverse symbol as z approaches the real axis.
 
-Every symbol function broadcasts over the momentum p and the spectral
-parameter z: scalars give a Mat2C (or complex) in Python arithmetic, arrays
-give a Mat2C whose entries are arrays of that shape.
+Every symbol function takes the parameters, the momentum p and the
+spectral parameter z, and broadcasts over p and z: scalars give a Mat2C (or
+complex) in Python arithmetic, arrays give a Mat2C whose entries are arrays
+of that shape.  kappa is formed inside from params.m, and real z on the
+branch cut (|z| >= sqrt(p^2 + m^2)) is a ValueError.
 
 Conventions: the unitary Fourier transform exp(-i p x)/sqrt(2 pi) along the
 shell direction; kappa = branch_sqrt(p^2 + m^2 - z^2) with Re kappa > 0,
@@ -43,7 +45,6 @@ from .tolerances import SINGULAR_C_SCALE
 
 __all__ = [
     "ShellParams",
-    "SymbolPoint",
     "SingularSymbolError",
     "single_layer_symbol",
     "reference_symbol",
@@ -161,22 +162,13 @@ class ShellParams:
         return (0.0 - root, root)  # (0.0, 0.0), not (-0.0, 0.0), at the edge
 
 
-@dataclass(frozen=True)
-class SymbolPoint:
-    """Momentum p, spectral parameter z and the decay rate kappa they fix;
-    scalars, or arrays for a batch of points."""
-
-    p: float
-    z: complex
-    kappa: complex
-
-    @classmethod
-    def create(cls, p, z, m: float) -> "SymbolPoint":
-        """kappa = branch_sqrt(p^2 + m^2 - z^2), with p and z broadcast;
-        fails on the branch cut, i.e. for real z with |z| >= sqrt(p^2 + m^2)."""
-        p = _scalar_or_array(p, float)
-        z = _scalar_or_array(z, complex)
-        return cls(p, z, branch_sqrt(p * p + m * m - z * z))
+def _point(params: ShellParams, p, z):
+    """(p, z, kappa) with kappa = branch_sqrt(p^2 + m^2 - z^2): p and z as
+    Python numbers or arrays that broadcast; ValueError on the branch cut,
+    i.e. for real z with |z| >= sqrt(p^2 + m^2)."""
+    p = _scalar_or_array(p, float)
+    z = _scalar_or_array(z, complex)
+    return p, z, branch_sqrt(p * p + params.m * params.m - z * z)
 
 
 def _require_coupled(params: ShellParams) -> None:
@@ -193,6 +185,7 @@ def _anchor(zeta) -> complex:
 
 def _shell_scale(p):
     """sqrt(p^2 + 1), the weight of the boundary symbols."""
+    p = _scalar_or_array(p, float)
     return math.sqrt(p * p + 1.0) if isinstance(p, float) else np.sqrt(p * p + 1.0)
 
 
@@ -206,30 +199,31 @@ def default_anchor(params: ShellParams) -> complex:
     return complex(0.0, 1.0 + abs(params.m))
 
 
-def single_layer_symbol(params: ShellParams, point: SymbolPoint) -> Mat2C:
+def single_layer_symbol(params: ShellParams, p, z) -> Mat2C:
     """Multiplier matrix of the free-resolvent trace on the shell,
 
         Chat_z(p) = [[(z+m)/(2 kappa), p/(2 kappa)],
                      [p/(2 kappa),     (z-m)/(2 kappa)]].
     """
-    two_k = 2.0 * point.kappa
-    off = point.p / two_k
-    return Mat2C((point.z + params.m) / two_k, off, off, (point.z - params.m) / two_k)
+    p, z, kappa = _point(params, p, z)
+    two_k = 2.0 * kappa
+    off = p / two_k
+    return Mat2C((z + params.m) / two_k, off, off, (z - params.m) / two_k)
 
 
-def boundary_symbol(params: ShellParams, point: SymbolPoint) -> Mat2C:
+def boundary_symbol(params: ShellParams, p, z) -> Mat2C:
     """-sqrt(p^2+1) (sigma_0/eta + Chat_z(p)); z is in the spectrum exactly
     when this matrix fails to be boundedly invertible over p."""
+    chat = single_layer_symbol(params, p, z)
     _require_coupled(params)
-    return _shifted(params, single_layer_symbol(params, point), point.p)
+    return _shifted(params, chat, p)
 
 
 def reference_symbol(params: ShellParams, zeta: complex, p) -> Mat2C:
     """z-independent anchor symbol: the entrywise real part of Chat at a
     fixed non-real anchor zeta, scaled like the boundary symbol."""
     _require_coupled(params)
-    point = SymbolPoint.create(p, _anchor(zeta), params.m)
-    return _shifted(params, single_layer_symbol(params, point).real_part(), point.p)
+    return _shifted(params, single_layer_symbol(params, p, _anchor(zeta)).real_part(), p)
 
 
 def weyl_symbol(params: ShellParams, z, zeta: complex, p) -> Mat2C:
@@ -241,33 +235,35 @@ def weyl_symbol(params: ShellParams, z, zeta: complex, p) -> Mat2C:
     z = _scalar_or_array(z, complex)
     if np.count_nonzero((z.imag == 0.0) & (abs(z.real) >= abs(params.m))):
         raise ValueError("real z must lie in the spectral gap (|z| < |m|)")
-    pt_z = SymbolPoint.create(p, z, params.m)
-    pt_a = SymbolPoint.create(p, zeta, params.m)
-    diff = single_layer_symbol(params, pt_z) - single_layer_symbol(params, pt_a).real_part()
-    return diff.scale(_shell_scale(pt_z.p))
+    diff = single_layer_symbol(params, p, z) - single_layer_symbol(params, p, zeta).real_part()
+    return diff.scale(_shell_scale(p))
 
 
-def boundary_det(params: ShellParams, point: SymbolPoint) -> complex:
+def boundary_det(params: ShellParams, p, z) -> complex:
     """Closed-form determinant of the boundary symbol,
 
         det = (p^2+1) (1/eta^2 + z/(eta kappa) - 1/4).
     """
+    p, z, kappa = _point(params, p, z)
     _require_coupled(params)
     eta = params.eta
-    return (point.p * point.p + 1.0) * (
-        1.0 / (eta * eta) + point.z / (eta * point.kappa) - 0.25
-    )
+    return (p * p + 1.0) * (1.0 / (eta * eta) + z / (eta * kappa) - 0.25)
 
 
-def dispersion_function(params: ShellParams, point: SymbolPoint) -> complex:
+def _dispersion(eta: float, z, kappa):
+    """c from z and kappa, shared by dispersion_function and the inverse."""
+    return (4.0 - eta * eta) * kappa + 4.0 * eta * z
+
+
+def dispersion_function(params: ShellParams, p, z) -> complex:
     """c(p, z) = (4 - eta^2) kappa + 4 eta z.  Proportional to the boundary
     determinant; its zeros over real z in the gap are the in-gap band."""
+    _, z, kappa = _point(params, p, z)
     _require_coupled(params)
-    eta = params.eta
-    return (4.0 - eta * eta) * point.kappa + 4.0 * eta * point.z
+    return _dispersion(params.eta, z, kappa)
 
 
-def boundary_symbol_inverse(params: ShellParams, point: SymbolPoint) -> Mat2C:
+def boundary_symbol_inverse(params: ShellParams, p, z) -> Mat2C:
     """Inverse of the boundary symbol in closed form,
 
         -2 eta / (c sqrt(p^2+1)) [[2 kappa + eta(z-m), -eta p],
@@ -277,24 +273,25 @@ def boundary_symbol_inverse(params: ShellParams, point: SymbolPoint) -> Mat2C:
     SINGULAR_C_SCALE * (1 + |z| + |p|) at any of the points: such a point
     is (numerically) spectral.
     """
+    p, z, kappa = _point(params, p, z)
     _require_coupled(params)
     eta = params.eta
     m = params.m
-    c = dispersion_function(params, point)
-    singular = abs(c) <= SINGULAR_C_SCALE * (1.0 + abs(point.z) + abs(point.p))
+    c = _dispersion(eta, z, kappa)
+    singular = abs(c) <= SINGULAR_C_SCALE * (1.0 + abs(z) + abs(p))
     if np.count_nonzero(singular):
-        p, z, singular = np.broadcast_arrays(point.p, point.z, singular)
+        p, z, singular = np.broadcast_arrays(p, z, singular)
         raise SingularSymbolError(
             f"dispersion function vanishes at p={float(p[singular][0])!r}, "
             f"z={complex(z[singular][0])!r}: the boundary symbol has no inverse there"
         )
-    pref = -2.0 * eta / (c * _shell_scale(point.p))
-    off = pref * (-eta * point.p)
+    pref = -2.0 * eta / (c * _shell_scale(p))
+    off = pref * (-eta * p)
     return Mat2C(
-        pref * (2.0 * point.kappa + eta * (point.z - m)),
+        pref * (2.0 * kappa + eta * (z - m)),
         off,
         off,
-        pref * (2.0 * point.kappa + eta * (point.z + m)),
+        pref * (2.0 * kappa + eta * (z + m)),
     )
 
 
@@ -382,7 +379,7 @@ def limit_sup_table(params: ShellParams, x: float, y_list=DEFAULT_SUP_Y, p_grid=
             raise ValueError("every grid node lies within max(y_list) of a critical momentum")
     rows = []
     for y in ys:
-        inv = boundary_symbol_inverse(params, SymbolPoint.create(grid, complex(x, y), params.m))
+        inv = boundary_symbol_inverse(params, grid, complex(x, y))
         rows.append((y, y * float(np.max(inv.max_abs()))))
     return rows
 
@@ -416,7 +413,7 @@ def limit_im_table(params: ShellParams, x: float, interval, y_list=DEFAULT_IM_Y,
     grid = np.linspace(a, b, n_nodes)
     rows = []
     for y in ys:
-        inv = boundary_symbol_inverse(params, SymbolPoint.create(grid, complex(x, y), params.m))
+        inv = boundary_symbol_inverse(params, grid, complex(x, y))
         # inv - Re inv = i Im inv exactly, so this is the entrywise max |Im|
         rows.append((y, float(np.max((inv - inv.real_part()).max_abs()))))
     return rows

@@ -32,7 +32,6 @@ from diracshell.numerics import bessel_k
 from diracshell.spectrum import dispersion_energy, full_spectrum, symmetry_partner
 from diracshell.symbol import (
     ShellParams,
-    SymbolPoint,
     boundary_det,
     boundary_symbol,
     boundary_symbol_inverse,
@@ -174,11 +173,10 @@ def test_criterion_5_symbol_identities():
             rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0),
         )
         params = ShellParams(eta, m)
-        pt = SymbolPoint.create(p, z, m)
-        theta = boundary_symbol(params, pt)
+        theta = boundary_symbol(params, p, z)
         direct = theta.det()
-        worst_det = max(worst_det, abs(boundary_det(params, pt) - direct) / abs(direct))
-        prod = theta @ boundary_symbol_inverse(params, pt)
+        worst_det = max(worst_det, abs(boundary_det(params, p, z) - direct) / abs(direct))
+        prod = theta @ boundary_symbol_inverse(params, p, z)
         worst_prod = max(worst_prod, (prod - prod.identity()).max_abs())
         zeta_a = complex(0.0, 1.0 + m)
         zeta_b = complex(

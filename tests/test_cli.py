@@ -10,7 +10,7 @@ from pathlib import Path
 from diracshell import cli
 from diracshell.cli import main
 from diracshell.spectrum import SpectrumDescription, full_spectrum
-from diracshell.symbol import ShellParams, SymbolPoint, boundary_det
+from diracshell.symbol import ShellParams, boundary_det
 from diracshell.tolerances import QUASIMODE_RESIDUAL_TOL
 
 
@@ -110,7 +110,7 @@ def test_dispersion_rows_zero_the_determinant(capsys):
     for line in out.strip().splitlines()[1:]:
         p_txt, z_txt = line.split(",")
         p, z = float(p_txt), float(z_txt)
-        det = boundary_det(par, SymbolPoint.create(p, complex(z), 1.0))
+        det = boundary_det(par, p, complex(z))
         assert abs(det) <= 1e-10 * (p * p + 1.0)
 
 
@@ -408,12 +408,30 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
-    _, direct = run(capsys, "band-edges", "--eta", "3", "--m", "1")
-    path = tmp_path / "edges.json"
-    code = main(["band-edges", "--eta", "3", "--m", "1", "--out", str(path)])
-    capsys.readouterr()
-    assert code == 0
-    assert path.read_text() == direct
+    # every subcommand, both dispersion formats and a failing verify
+    cases = (
+        (0, "spectrum", "--eta", "3"),
+        (0, "band-edges", "--eta", "3", "--m", "1"),
+        (0, "dispersion", "--eta", "3", "--p-count", "5"),
+        (0, "dispersion", "--eta", "3", "--p-count", "5", "--format", "json"),
+        (0, "symbol-eval", "--z", "0.3+0.5j", "--zeta", "2j", "--p-count", "3"),
+        (0, "greens-eval", "--z", "0.5j"),
+        (0, "quasimode", "--p0", "0.5"),
+        (0, "verify", "--suite", "critical"),
+        (1, "verify", "--suite", "critical", "--tol-override", "NONCRITICAL_KERNEL_FLOOR=1e9"),
+    )
+    for k, (want, *args) in enumerate(cases):
+        code, direct = run(capsys, *args)
+        path = tmp_path / f"out{k}"
+        assert code == want and main([*args, "--out", str(path)]) == want, args
+        assert capsys.readouterr().out == "", args
+        assert path.read_text() == direct, args
+    # a missing directory and a directory: exit 2 with a message, no output
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code = main(["band-edges", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", target
+        assert captured.err.startswith(f"error: cannot write {target}: "), captured.err
 
 
 def test_band_edges_side_is_exact_next_to_criticality(capsys):

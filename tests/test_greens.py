@@ -271,9 +271,9 @@ def _direct_sum(m, z, field, pts):
     a = branch_sqrt(m * m - z * z)
     cell = greens._singular_cell(a, field.spacing)
     pts = np.atleast_2d(pts)
-    return np.concatenate(
-        [greens._direct_apply(m, z, a, field, cell, pts[lo : lo + 128]) for lo in range(0, len(pts), 128)]
-    )
+    i, _ = greens._node_index(field.x1, field.spacing, pts[:, 0])
+    j, _ = greens._node_index(field.x2, field.spacing, pts[:, 1])
+    return greens._direct_apply(m, z, a, field, cell, pts, i, j)
 
 
 def _grid_points(field):

@@ -18,7 +18,7 @@ from diracshell.spectrum import (
     sign_condition,
     symmetry_partner,
 )
-from diracshell.symbol import ShellParams, SymbolPoint, boundary_det
+from diracshell.symbol import ShellParams, boundary_det
 
 GAP_SIDE_ETAS = ("0.5", "-0.5", "1", "-1", "1.9", "-1.9", "2.1", "-2.1", "3", "-3", "10", "-10")
 
@@ -86,7 +86,7 @@ def test_dispersion_zeroes_the_boundary_determinant():
         par = ShellParams(eta, m)
         for p in (0.0, 0.7, 3.0, -9.0):
             z = dispersion_energy(par, p)
-            det = boundary_det(par, SymbolPoint.create(p, complex(z), m))
+            det = boundary_det(par, p, complex(z))
             assert abs(det) <= 1e-12 * (p * p + 1.0)
 
 

@@ -1,17 +1,18 @@
 """Boundary symbol: closed forms, inverses, anchor split, limit tables."""
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from diracshell.numerics import Mat2C
+from diracshell import symbol
+from diracshell.numerics import Mat2C, branch_sqrt
 from diracshell.symbol import (
     DEFAULT_IM_Y,
     DEFAULT_SUP_Y,
     ShellParams,
     SingularSymbolError,
-    SymbolPoint,
     boundary_det,
     boundary_symbol,
     boundary_symbol_inverse,
@@ -40,7 +41,7 @@ def _random_gap_z(rng):
 
 
 # ----------------------------------------------------------------------------
-# parameters and symbol points
+# parameters and the branch cut
 # ----------------------------------------------------------------------------
 
 def test_params_criticality_is_exact():
@@ -58,14 +59,21 @@ def test_params_exact_fields_from_decimal():
     assert par.eta == 0.1 and par.m == -2.5
 
 
-def test_symbol_point_kappa_and_cut():
-    pt = SymbolPoint.create(0.0, 0.0, 1.0)
-    assert pt.kappa == 1.0
-    # real z on the fiber branch cut is rejected
-    with pytest.raises(ValueError):
-        SymbolPoint.create(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SymbolPoint.create(3.0, -4.0, 0.0)
+def test_symbol_functions_reject_the_branch_cut():
+    # real z with |z| >= sqrt(p^2 + m^2) has no kappa with Re kappa > 0
+    par = ShellParams.from_decimal("1", "1")
+    massless = ShellParams.from_decimal("1", "0")
+    for fn in (single_layer_symbol, boundary_symbol, boundary_det, dispersion_function,
+               boundary_symbol_inverse):
+        with pytest.raises(ValueError, match="branch_sqrt"):
+            fn(par, 0.0, 1.0)
+        with pytest.raises(ValueError, match="branch_sqrt"):
+            fn(massless, 3.0, -4.0)
+        # z = 2 is on the cut at p = 0 only
+        with pytest.raises(ValueError, match="branch_sqrt"):
+            fn(par, np.array([0.0, 3.0]), 2.0)
+        with pytest.raises(ValueError, match="branch_sqrt"):
+            fn(par, 3.0, np.array([0.5j, 4.0]))
 
 
 # ----------------------------------------------------------------------------
@@ -74,8 +82,10 @@ def test_symbol_point_kappa_and_cut():
 
 def test_single_layer_symbol_at_origin():
     par = ShellParams.from_decimal("1", "1")
-    got = single_layer_symbol(par, SymbolPoint.create(0.0, 0.0, 1.0))
+    got = single_layer_symbol(par, 0.0, 0.0)
+    # kappa = sqrt(m^2) = 1 at p = z = 0
     assert (got - Mat2C(0.5, 0.0, 0.0, -0.5)).max_abs() == 0.0
+    assert single_layer_symbol(ShellParams.from_decimal("1", "2"), 0, 0).a11 == 0.5
 
 
 def test_single_layer_symbol_momentum_parity():
@@ -84,26 +94,24 @@ def test_single_layer_symbol_momentum_parity():
     for _ in range(20):
         p = rng.uniform(0.1, 8.0)
         z = _random_gap_z(rng)
-        plus = single_layer_symbol(par, SymbolPoint.create(p, z, par.m))
-        minus = single_layer_symbol(par, SymbolPoint.create(-p, z, par.m))
+        plus = single_layer_symbol(par, p, z)
+        minus = single_layer_symbol(par, -p, z)
         assert plus.a11 == minus.a11 and plus.a22 == minus.a22
         assert plus.a12 == -minus.a12
 
 
 def test_boundary_symbol_and_inverse_at_origin():
     par = ShellParams.from_decimal("1", "1")
-    pt = SymbolPoint.create(0.0, 0.0, 1.0)
-    theta = boundary_symbol(par, pt)
+    theta = boundary_symbol(par, 0.0, 0.0)
     assert (theta - Mat2C(-1.5, 0.0, 0.0, -0.5)).max_abs() == 0.0
-    inv = boundary_symbol_inverse(par, pt)
+    inv = boundary_symbol_inverse(par, 0.0, 0.0)
     assert (inv - Mat2C(-2.0 / 3.0, 0.0, 0.0, -2.0)).max_abs() <= 1e-15
 
 
 def test_boundary_symbol_requires_coupling():
     par = ShellParams.from_decimal("0", "1")
-    pt = SymbolPoint.create(0.0, 0.5j, 1.0)
-    with pytest.raises(ValueError):
-        boundary_symbol(par, pt)
+    with pytest.raises(ValueError, match="eta = 0"):
+        boundary_symbol(par, 0.0, 0.5j)
 
 
 # ----------------------------------------------------------------------------
@@ -115,9 +123,9 @@ def test_det_closed_form_matches_direct_determinant():
     for eta, m in ((1.0, 1.0), (-3.0, 0.5), (2.0, 2.0), (0.7, -1.0)):
         par = ShellParams(eta, m)
         for _ in range(300):
-            pt = SymbolPoint.create(rng.uniform(-10, 10), _random_gap_z(rng), m)
-            direct = boundary_symbol(par, pt).det()
-            closed = boundary_det(par, pt)
+            p, z = rng.uniform(-10, 10), _random_gap_z(rng)
+            direct = boundary_symbol(par, p, z).det()
+            closed = boundary_det(par, p, z)
             assert abs(direct - closed) <= DET_IDENTITY_RTOL * abs(closed)
 
 
@@ -126,10 +134,11 @@ def test_det_proportional_to_dispersion_function():
     par = ShellParams.from_decimal("1.5", "1")
     rng = np.random.default_rng(29)
     for _ in range(100):
-        pt = SymbolPoint.create(rng.uniform(-6, 6), _random_gap_z(rng), par.m)
-        lhs = boundary_det(par, pt)
-        c = dispersion_function(par, pt)
-        rhs = c * (pt.p * pt.p + 1.0) / (4.0 * par.eta * par.eta * pt.kappa)
+        p, z = rng.uniform(-6, 6), _random_gap_z(rng)
+        kappa = cmath.sqrt(p * p + par.m * par.m - z * z)  # Re z^2 < p^2 + m^2 here
+        lhs = boundary_det(par, p, z)
+        c = dispersion_function(par, p, z)
+        rhs = c * (p * p + 1.0) / (4.0 * par.eta * par.eta * kappa)
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
 
@@ -139,17 +148,28 @@ def test_inverse_product_is_identity():
     for eta in (1.0, -2.0, 3.5, 0.25):
         par = ShellParams(eta, 1.0)
         for _ in range(250):
-            pt = SymbolPoint.create(rng.uniform(-10, 10), _random_gap_z(rng), par.m)
-            prod = boundary_symbol(par, pt) @ boundary_symbol_inverse(par, pt)
+            p, z = rng.uniform(-10, 10), _random_gap_z(rng)
+            prod = boundary_symbol(par, p, z) @ boundary_symbol_inverse(par, p, z)
             assert (prod - eye).max_abs() <= INVERSE_ENTRY_TOL
+
+
+def test_inverse_forms_kappa_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return branch_sqrt(w)
+
+    monkeypatch.setattr(symbol, "branch_sqrt", counted)
+    boundary_symbol_inverse(ShellParams.from_decimal("1", "1"), np.linspace(-1.0, 1.0, 5), 0.5j)
+    assert len(calls) == 1
 
 
 def test_inverse_refuses_spectral_points():
     par = ShellParams.from_decimal("1", "1")
     # z = -0.6 at p = 0 lies on the dispersion curve: c = 0 exactly
-    pt = SymbolPoint.create(0.0, -0.6 + 0.0j, 1.0)
     with pytest.raises(SingularSymbolError):
-        boundary_symbol_inverse(par, pt)
+        boundary_symbol_inverse(par, 0.0, -0.6 + 0.0j)
 
 
 # ----------------------------------------------------------------------------
@@ -181,15 +201,11 @@ def test_symbol_functions_broadcast_over_p_and_z():
     for eta, m in (("1", "1"), ("-4/3", "0.5"), ("2", "2")):
         par = ShellParams.from_decimal(eta, m)
         zeta = default_anchor(par)
-        batch = SymbolPoint.create(p, z, par.m)
-
-        def point(idx):
-            return SymbolPoint.create(float(p[idx[0], 0]), complex(z[idx[1]]), par.m)
-
-        _assert_pointwise(batch.kappa, lambda i: point(i).kappa, shape)
         for fn in (single_layer_symbol, boundary_symbol, boundary_det, dispersion_function,
                    boundary_symbol_inverse):
-            _assert_pointwise(fn(par, batch), lambda i: fn(par, point(i)), shape)
+            _assert_pointwise(
+                fn(par, p, z), lambda i: fn(par, float(p[i[0], 0]), complex(z[i[1]])), shape
+            )
         # the Weyl symbol is a difference of two terms of the size of the
         # reference symbol
         _assert_pointwise(
@@ -206,9 +222,7 @@ def test_symbol_functions_broadcast_over_p_and_z():
 def test_array_inverse_refuses_any_spectral_point():
     par = ShellParams.from_decimal("1", "1")
     with pytest.raises(SingularSymbolError, match="p=0.0"):
-        boundary_symbol_inverse(par, SymbolPoint.create(np.array([1.0, 0.0, 2.0]), -0.6, 1.0))
-    with pytest.raises(ValueError):
-        SymbolPoint.create(np.array([0.0, 3.0]), 2.0, 1.0)  # z = 2 on the cut at p = 0
+        boundary_symbol_inverse(par, np.array([1.0, 0.0, 2.0]), -0.6)
 
 
 # ----------------------------------------------------------------------------
@@ -223,7 +237,7 @@ def test_anchor_split_reconstructs_boundary_symbol():
         for _ in range(200):
             p = rng.uniform(-10, 10)
             z = _random_gap_z(rng)
-            theta = boundary_symbol(par, SymbolPoint.create(p, z, m))
+            theta = boundary_symbol(par, p, z)
             split = reference_symbol(par, zeta, p) - weyl_symbol(par, z, zeta, p)
             scale = max(1.0, theta.max_abs())
             assert (split - theta).max_abs() <= ZETA_INDEPENDENCE_TOL * scale
@@ -321,7 +335,7 @@ def test_limit_sup_table_leaves_out_critical_cells():
     for grid, kept in cases:
         rows = limit_sup_table(par, 2.0, p_grid=grid)
         for y, value in rows:
-            inv = boundary_symbol_inverse(par, SymbolPoint.create(grid[kept], 2.0 + 1j * y, 2.0))
+            inv = boundary_symbol_inverse(par, grid[kept], 2.0 + 1j * y)
             assert abs(value - y * np.max(inv.max_abs())) <= 1e-15 * value
         assert rows[-1][1] < 0.05 * rows[0][1]
     with pytest.raises(ValueError, match="within max"):
