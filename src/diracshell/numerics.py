@@ -12,15 +12,16 @@ Conventions
       K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0.
 
   On the positive real axis a trapezoid rule on the even integrand halves
-  its step until it converges; both orders share one exponential table.
-  Off the axis the path is bent onto the ray Im t = -arg(w), which removes
-  the oscillation of the integrand at infinity, and both pieces are
-  integrated by tanh-sinh quadrature.  A batch goes through one loop: band
-  by band (on the real axis the power of two of the tail cutoff
-  acosh(1 + _TAIL_DROP/w); off it a single band), in blocks of at most
+  its step until it converges.  Off the axis the path is bent onto the ray
+  Im t = -arg(w), which removes the oscillation of the integrand at
+  infinity, and both pieces are integrated by tanh-sinh quadrature.  On
+  either ray K0 and K1 share one exponential table.  A batch is sorted by
+  |w| once, and one rule cuts the sorted run for both rays: at every power
+  of two of the tail cutoff acosh(1 + _TAIL_DROP/|w|) and again every
   _BLOCK arguments, so neither a few tiny arguments nor a large batch
-  inflate the tables.  No special-function library is involved, so the
-  mpmath oracle used in the tests is a genuinely independent check.
+  inflate the tables, and a value does not depend on the order of its
+  batch.  No special-function library is involved, so the mpmath oracle
+  used in the tests is a genuinely independent check.
 * Mat2C holds a 2x2 matrix, or an array of them when its entries are
   arrays; the symbol functions return it in both forms.
 """
@@ -189,26 +190,22 @@ def _k01_trapezoid(a: float, r: np.ndarray, rel_tol: float):
     raise RuntimeError(f"K0/K1 trapezoid missed rel_tol {rel_tol:g} after 14 halvings")
 
 
-def _real_bands(x: np.ndarray):
-    """The bands of positive reals that share the binary exponent of their
-    leading tail cutoff acosh(1 + _TAIL_DROP/x), as index arrays.  That
-    exponent falls as x grows, so each band is an interval of x, found with
-    two comparisons per radius; the outer bands are open-ended.  A batch
-    inside one band, such as a single radius, is yielded whole as
-    slice(None), with no mask and no fancy indexing."""
+def _blocks(x: np.ndarray):
+    """Slices that cut an ascending run x of |w| at every power of two of the
+    leading tail cutoff acosh(1 + _TAIL_DROP/x), and again every _BLOCK
+    entries, so neither a few tiny arguments nor a large batch inflate the
+    tables.  The cutoff falls as x grows, so each octave is an interval of
+    x, found by one binary search."""
     if not x.size:
         return
-    octaves = (math.frexp(math.acosh(1.0 + _TAIL_DROP / float(f(x))))[1] for f in (np.max, np.min))
-    first, last = sorted(octaves)
-    if first == last:
-        yield slice(None)
-        return
-    upper = math.inf
-    for e in range(first, last + 1):
-        # acosh(1 + _TAIL_DROP/x) = 2^e at x = _TAIL_DROP / (cosh 2^e - 1)
-        lower = _TAIL_DROP / (2.0 * math.sinh(math.ldexp(1.0, e - 1)) ** 2) if e < last else 0.0
-        yield np.flatnonzero((x > lower) & (x <= upper))
-        upper = lower
+    first, last = (math.frexp(math.acosh(1.0 + _TAIL_DROP / float(v)))[1] for v in (x[-1], x[0]))
+    # acosh(1 + _TAIL_DROP/x) = 2^e at x = _TAIL_DROP / (cosh 2^e - 1)
+    edges = [_TAIL_DROP / (2.0 * math.sinh(math.ldexp(1.0, e - 1)) ** 2)
+             for e in range(last - 1, first - 1, -1)]
+    cuts = [0, *np.searchsorted(x, edges, side="right").tolist(), x.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        for start in range(lo, hi, _BLOCK):
+            yield slice(start, min(start + _BLOCK, hi))
 
 
 def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float):
@@ -217,68 +214,58 @@ def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float):
     The contour [0, inf) is bent into the vertical segment t = -i s,
     0 <= s <= phi, followed by the horizontal ray t = u - i phi.  On the
     horizontal part Im(w cosh t) decays like exp(-u), so the tail is free
-    of oscillation for every arg(w) in (-pi/2, pi/2).
+    of oscillation for every arg(w) in (-pi/2, pi/2).  On both pieces the
+    K1 factor cosh(t) is the exponent's own c = cosh t, so one table of
+    exp(-w c) serves both orders.
     """
     phi = cmath.phase(a)
     sgn = 1.0 if phi >= 0 else -1.0
-    aphi = abs(phi)
-    r = np.asarray(r, dtype=float)
     w = a * r
 
+    def pair(c):  # exp(-w c) and c exp(-w c), the integrands of K0 and K1
+        e = np.empty((2, w.size, c.size), dtype=complex)
+        np.multiply.outer(-w, c, out=e[0])
+        np.exp(e[0], out=e[0])
+        np.multiply(e[0], c, out=e[1])
+        return e
+
     # vertical segment: -i*sgn * int_0^{|phi|} exp(-w cos s) cos(nu s) ds
-    def seg1(nu):
-        def f(s):
-            return np.exp(-np.outer(w, np.cos(s))) * np.cos(nu * s)
-
-        return -1j * sgn * tanh_sinh(f, 0.0, aphi, rel_tol, max_level=11)
-
+    vertical = -1j * sgn * tanh_sinh(lambda s: pair(np.cos(s)), 0.0, abs(phi), rel_tol, 11)
     # horizontal ray: int_0^U exp(-w cosh(u - i phi)) cosh(nu (u - i phi)) du
-    scale = float(np.min(np.abs(w))) * max(math.cos(phi) ** 2, 1e-12)
-    u_max = _tail_cutoff(scale)
-
-    def seg2(nu):
-        def f(u):
-            c = np.cosh(u - 1j * phi)
-            return np.exp(-np.outer(w, c)) * np.cosh(nu * (u - 1j * phi))
-
-        return tanh_sinh(f, 0.0, u_max, rel_tol, max_level=11)
-
-    k0 = seg1(0) + seg2(0)
-    k1 = seg1(1) + seg2(1)
-    return k0, k1
+    u_max = _tail_cutoff(float(np.min(np.abs(w))) * max(math.cos(phi) ** 2, 1e-12))
+    horizontal = tanh_sinh(lambda u: pair(np.cosh(u - 1j * phi)), 0.0, u_max, rel_tol, 11)
+    return vertical + horizontal
 
 
 def bessel_k01_ray(a: complex, r):
     """K0 and K1 at a*r for an array of positive radii r, with Re a > 0.
 
     Batch companion of bessel_k, and the one owner of the memory bound: the
-    radii go band by band, in blocks of at most _BLOCK, through the
-    trapezoid on a real ray (bands from _real_bands) or through tanh-sinh
-    on a rotated one (a single band).  Returns the pair (k0, k1) of complex
-    arrays shaped like r; RuntimeError when a block misses BESSEL_TARGET_TOL.
+    radii are sorted once and the sorted run is cut by _blocks, the same
+    rule for both rays.  Each block goes through the trapezoid on a real
+    ray or through tanh-sinh on a rotated one, with the tail cutoff of its
+    own smallest radius.  A radius's value depends on its block alone, so
+    it does not depend on the order of the batch.  Returns the pair (k0,
+    k1) of complex arrays shaped like r; ValueError for a non-finite a or
+    radius, RuntimeError when a block misses BESSEL_TARGET_TOL.
     """
     a = complex(a)
-    if a.real <= 0.0:
-        raise ValueError(f"bessel argument ray must satisfy Re > 0, got direction {a!r}")
+    if not cmath.isfinite(a) or a.real <= 0.0:
+        raise ValueError(f"bessel argument ray must be finite with Re > 0, got direction {a!r}")
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radii must be strictly positive")
-    top = float(np.max(r)) * abs(a) if r.size else 0.0
-    if top > BESSEL_MAX_ARG:
-        msg = f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {top:.3g})"
+    if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+        raise ValueError("radii must be finite and strictly positive")
+    order = np.argsort(r, axis=None, kind="stable")
+    run = r.ravel()[order]
+    x = abs(a) * run
+    if x.size and x[-1] > BESSEL_MAX_ARG:
+        msg = f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {x[-1]:.3g})"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    flat = r.ravel()
-    if a.imag == 0.0:
-        ray, scale, bands = _k01_trapezoid, a.real, _real_bands(a.real * flat)
-    else:
-        ray, scale, bands = _k01_rotated_ray, a, (slice(None),)
-    k0 = np.empty(flat.size, dtype=complex)
-    k1 = np.empty(flat.size, dtype=complex)
-    for band in bands:
-        whole = isinstance(band, slice)  # a one-band batch, cut by slices
-        for lo in range(0, flat.size if whole else band.size, _BLOCK):
-            sel = slice(lo, lo + _BLOCK) if whole else band[lo : lo + _BLOCK]
-            k0[sel], k1[sel] = ray(scale, flat[sel], BESSEL_TARGET_TOL)
+    ray, scale = (_k01_trapezoid, a.real) if a.imag == 0.0 else (_k01_rotated_ray, a)
+    k0 = np.empty(r.size, dtype=complex)
+    k1 = np.empty(r.size, dtype=complex)
+    for sel in _blocks(x):
+        k0[order[sel]], k1[order[sel]] = ray(scale, run[sel], BESSEL_TARGET_TOL)
     return k0.reshape(r.shape), k1.reshape(r.shape)
 
 

@@ -13,8 +13,8 @@ from diracshell.numerics import (
     branch_sqrt,
     pauli,
     tanh_sinh,
+    _blocks,
     _k01_trapezoid,
-    _real_bands,
 )
 from diracshell.tolerances import BESSEL_MAX_ARG, SQRT_REL_TOL
 
@@ -66,7 +66,7 @@ def test_bessel_matches_oracle_complex_arguments():
     worst = 0.0
     for _ in range(60):
         r = rng.uniform(0.1, 20.0)
-        phi = rng.uniform(-1.3, 1.3)  # keep Re w > 0
+        phi = rng.uniform(-1.565, 1.565)  # Re w > 0, up to z next to the essential spectrum
         w = r * complex(math.cos(phi), math.sin(phi))
         for order in (0, 1):
             got = bessel_k(order, w)
@@ -89,6 +89,36 @@ def test_bessel_ray_matches_scalar_calls():
         assert [k.shape for k in bessel_k01_ray(a, np.empty((0, 3)))] == [(0, 3), (0, 3)]
 
 
+# real and complex rays, the last at z = 1.5 + 0.01i, next to the essential spectrum
+@pytest.mark.parametrize(
+    "a", (1.0, 0.4, complex(1.0, 0.8), complex(0.3, -0.25), branch_sqrt(1.0 - (1.5 + 0.01j) ** 2))
+)
+def test_bessel_ray_values_do_not_depend_on_the_order_of_the_radii(a):
+    r = np.geomspace(0.05, 20.0, 9000)
+    perm = np.random.default_rng(9).permutation(r.size)
+    k0, k1 = bessel_k01_ray(a, r)
+    p0, p1 = bessel_k01_ray(a, r[perm])
+    assert np.array_equal(p0, k0[perm]) and np.array_equal(p1, k1[perm])
+
+
+@pytest.mark.parametrize("a", (1.0, complex(1.0, 0.8)))
+def test_bessel_rejects_non_finite_radii(a):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            bessel_k01_ray(a, np.array([0.5, bad, 2.0]))
+        with pytest.raises(ValueError):
+            bessel_k(0, a * bad)
+
+
+def test_bessel_rejects_non_finite_rays():
+    nan, inf = math.nan, math.inf
+    for a in (nan, inf, complex(nan, 0.8), complex(1.0, nan), complex(1.0, inf)):
+        with pytest.raises(ValueError):
+            bessel_k01_ray(a, np.array([1.0]))
+        with pytest.raises(ValueError):
+            bessel_k(1, a)
+
+
 def _fourier_pair_radii(monkeypatch, kappa=1.0):
     """The one real batch fourier_pair_check hands the engine: its tanh-sinh
     head cell, down to about 1e-39, then its Gauss-Legendre body."""
@@ -107,7 +137,7 @@ def _fourier_pair_radii(monkeypatch, kappa=1.0):
 def test_bessel_fourier_pair_batch_matches_oracle(monkeypatch):
     x = _fourier_pair_radii(monkeypatch)
     assert x.min() < 1e-38 and x.max() > 28.0
-    assert len(list(_real_bands(x))) >= 6
+    assert len(list(_blocks(np.sort(x)))) >= 6
     k0, k1 = bessel_k01_ray(1.0, x)
     pick = np.unique(np.concatenate([np.arange(129), np.arange(129, x.size, 47), [x.size - 1]]))
     worst = 0.0
@@ -165,6 +195,21 @@ def test_bessel_real_ray_memory_is_bounded_by_blocks():
     assert peak <= k0.nbytes + k1.nbytes + 3 * table, peak / 1e6
 
 
+def test_bessel_complex_ray_memory_is_bounded_by_blocks():
+    x = np.geomspace(1e-6, 27.0, 8192)
+    np.random.default_rng(3).shuffle(x)
+    a = branch_sqrt(1.0 - (0.3 + 0.5j) ** 2)
+    tracemalloc.start()
+    try:
+        bessel_k01_ray(a, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 64 MB: K0 and K1 share one exp(-w c) table per node set; a copy
+    # that stacks the two orders would take about 126 MB
+    assert peak <= 80e6, peak / 1e6
+
+
 def test_resolvent_whole_grid_memory_stays_on_the_node_path():
     axis = np.linspace(-0.6, 0.6, 61)
     g = np.exp(-(axis[:, None] ** 2 + axis[None, :] ** 2) / 0.045)
@@ -213,10 +258,10 @@ def test_quadratures_raise_when_levels_run_out(monkeypatch):
         tanh_sinh(lambda x: x ** -0.9, 0.0, 1.0)
     with pytest.raises(RuntimeError):
         _k01_trapezoid(1.0, np.array([1.0]), -1.0)
-    # an unreachable target through the banded engine, from a batch of several bands
+    # an unreachable target through the engine, from a batch cut into several blocks
     monkeypatch.setattr(numerics, "BESSEL_TARGET_TOL", -1.0)
     many_bands = np.geomspace(1e-30, 29.0, 64)
-    assert len(list(_real_bands(many_bands))) > 1
+    assert len(list(_blocks(many_bands))) > 1
     with pytest.raises(RuntimeError):
         bessel_k01_ray(1.0, many_bands)
 
