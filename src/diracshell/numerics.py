@@ -11,8 +11,11 @@ Conventions
 
       K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0.
 
-  On the positive real axis a trapezoid rule on the even integrand halves
-  its step until it converges.  Off the axis the path is bent onto the ray
+  For real w, and for complex w with |arg w| up to _TRAPEZOID_MAX_ARG,
+  a trapezoid rule along the real t axis on the even integrand halves its
+  step until it converges; off the real axis the integrand decays only in
+  the strip |Im t| < pi/2 - |arg w|, so the node count grows as that strip
+  narrows.  Nearer the imaginary axis the path is bent onto the ray
   Im t = -arg(w), which removes the oscillation of the integrand at
   infinity, and both pieces are integrated by tanh-sinh quadrature.  On
   either ray K0 and K1 share one exponential table.  A batch is sorted by
@@ -20,8 +23,11 @@ Conventions
   of two of the tail cutoff acosh(1 + _TAIL_DROP/|w|) and again every
   _BLOCK arguments, so neither a few tiny arguments nor a large batch
   inflate the tables, and a value does not depend on the order of its
-  batch.  No special-function library is involved, so the mpmath oracle
-  used in the tests is a genuinely independent check.
+  batch; the trapezoid also builds each refinement's table at most _TABLE
+  radii x nodes at a time.  Arguments below _MIN_ARG, where the tail
+  cutoff's cosh overflows, are rejected up front.  No special-function
+  library is involved, so the mpmath oracle used in the tests is a
+  genuinely independent check.
 * Mat2C holds a 2x2 matrix, or an array of them when its entries are
   arrays; the symbol functions return it in both forms.
 """
@@ -145,41 +151,52 @@ def _tail_cutoff(scale: float) -> float:
     return u
 
 
-_BLOCK = 4096  # radii per trapezoid table or tanh-sinh batch
+_BLOCK = 4096  # radii per block of a sorted batch
+_TABLE = 1 << 20  # entries, radii x nodes, of one refinement table of the trapezoid
 
 
-def _k01_trapezoid(a: float, r: np.ndarray, rel_tol: float):
-    """K0(x) and K1(x) at x = a r, positive reals sharing one table.
+def _k01_trapezoid(a: float | complex, r: np.ndarray, rel_tol: float):
+    """K0(w) and K1(w) at w = a r for positive radii r, sharing one table.
 
-    Trapezoid rule on the even integrand exp(-x cosh t) cosh(nu t), cut at
-    the tail cutoff of the smallest x; the even reflection kills the odd
-    Euler-Maclaurin terms at t = 0 and the double-exponential tail kills
-    them at the cutoff, so halving the step converges geometrically.  Both
+    Trapezoid rule along the real t axis on the even integrand
+    exp(-w cosh t) cosh(nu t), cut at the tail cutoff of the smallest Re w;
+    the even reflection kills the odd Euler-Maclaurin terms at t = 0 and
+    the double-exponential tail kills them at the cutoff, so halving the
+    step converges geometrically.  a may be real or complex: the integrand
+    decays in the strip |Im t| < pi/2 - |arg a|, so the step that converges
+    shrinks, and the node count grows, like 1/(pi/2 - |arg a|) (Trefethen &
+    Weideman, SIAM Rev. 56, 2014).  Each halving builds its table of new
+    nodes _TABLE entries at a time, so radii x nodes stays bounded.  Both
     orders share the table; RuntimeError if 14 halvings miss rel_tol.
     """
-    x = a * r
-    u_max = _tail_cutoff(float(np.min(x)))
+    w = a * r
+    u_max = _tail_cutoff(float(np.min(w.real)))
     n = 16
     def _trap(rows, h):
         return h * (0.5 * (rows[:, 0] + rows[:, -1]) + rows[:, 1:-1].sum(axis=1))
 
-    def _table(c):  # exp(-x cosh t), built in place from c = cosh t
-        e = np.outer(x, -c)
+    def _table(v, c):  # exp(-v cosh t) for arguments v, built in place from c = cosh t
+        e = np.outer(v, -c)
         return np.exp(e, out=e)
 
     with np.errstate(under="ignore"):
         c = np.cosh(np.linspace(0.0, u_max, n + 1))
-        e = _table(c)
+        e = _table(w, c)
         k0 = _trap(e, u_max / n)
         e *= c
         k1 = _trap(e, u_max / n)
+        s0, s1 = np.empty_like(w), np.empty_like(w)
         for _ in range(14):
             h = u_max / n
             c = np.cosh((np.arange(n) + 0.5) * h)
-            e = _table(c)
-            k0_new = 0.5 * k0 + 0.5 * h * np.sum(e, axis=1)
-            e *= c
-            k1_new = 0.5 * k1 + 0.5 * h * np.sum(e, axis=1)
+            rows = max(1, _TABLE // n)
+            for lo in range(0, w.size, rows):
+                e = _table(w[lo:lo + rows], c)
+                s0[lo:lo + rows] = np.sum(e, axis=1)
+                e *= c
+                s1[lo:lo + rows] = np.sum(e, axis=1)
+            k0_new = 0.5 * k0 + 0.5 * h * s0
+            k1_new = 0.5 * k1 + 0.5 * h * s1
             n *= 2
             done = np.all(np.abs(k0_new - k0) <= rel_tol * np.abs(k0_new) + 1e-300) and np.all(
                 np.abs(k1_new - k1) <= rel_tol * np.abs(k1_new) + 1e-300
@@ -206,6 +223,15 @@ def _blocks(x: np.ndarray):
     for lo, hi in zip(cuts, cuts[1:]):
         for start in range(lo, hi, _BLOCK):
             yield slice(start, min(start + _BLOCK, hi))
+
+
+# |arg a| up to which a ray takes the trapezoid; above it the trapezoid's
+# node count doubles again and the rotated ray is the cheaper of the two
+_TRAPEZOID_MAX_ARG = 1.35
+# smallest |w| the engine takes.  The tail cutoff keeps cosh finite for a
+# scale down to about 4.5e-306; the trapezoid's scale is Re w >= 0.22 |w|,
+# the rotated ray's |w| max(cos(arg a)^2, 1e-12), so 1e-290 serves both
+_MIN_ARG = 1e-290
 
 
 def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float):
@@ -242,12 +268,14 @@ def bessel_k01_ray(a: complex, r):
 
     Batch companion of bessel_k, and the one owner of the memory bound: the
     radii are sorted once and the sorted run is cut by _blocks, the same
-    rule for both rays.  Each block goes through the trapezoid on a real
-    ray or through tanh-sinh on a rotated one, with the tail cutoff of its
-    own smallest radius.  A radius's value depends on its block alone, so
-    it does not depend on the order of the batch.  Returns the pair (k0,
-    k1) of complex arrays shaped like r; ValueError for a non-finite a or
-    radius, RuntimeError when a block misses BESSEL_TARGET_TOL.
+    rule for both rays.  A real a, and a complex a with |arg a| up to
+    _TRAPEZOID_MAX_ARG, takes the trapezoid along the real t axis; only a
+    ray closer to the imaginary axis takes tanh-sinh on the rotated
+    contour.  Each block has the tail cutoff of its own smallest radius, so
+    a radius's value depends on its block alone, not on the order of the
+    batch.  Returns the pair (k0, k1) of complex arrays shaped like r;
+    ValueError, before any work, for a non-finite a or radius or for
+    |a| r < _MIN_ARG, RuntimeError when a block misses BESSEL_TARGET_TOL.
     """
     a = complex(a)
     if not cmath.isfinite(a) or a.real <= 0.0:
@@ -258,10 +286,14 @@ def bessel_k01_ray(a: complex, r):
     order = np.argsort(r, axis=None, kind="stable")
     run = r.ravel()[order]
     x = abs(a) * run
+    if x.size and x[0] < _MIN_ARG:
+        raise ValueError(f"bessel argument |w| = |a| r = {x[0]:.3g} is below {_MIN_ARG:g}, "
+                         "where the tail cutoff of the K0/K1 table overflows")
     if x.size and x[-1] > BESSEL_MAX_ARG:
         msg = f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {x[-1]:.3g})"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    ray, scale = (_k01_trapezoid, a.real) if a.imag == 0.0 else (_k01_rotated_ray, a)
+    ray = _k01_trapezoid if abs(cmath.phase(a)) <= _TRAPEZOID_MAX_ARG else _k01_rotated_ray
+    scale = a.real if a.imag == 0.0 else a
     k0 = np.empty(r.size, dtype=complex)
     k1 = np.empty(r.size, dtype=complex)
     for sel in _blocks(x):
@@ -291,7 +323,7 @@ def bessel_k(order: int, w: complex) -> complex:
 # Pauli matrices and 2x2 complex matrices
 # ============================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat2C:
     """2x2 complex matrix; exactly the algebra the boundary symbols need.
 

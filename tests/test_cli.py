@@ -238,10 +238,10 @@ FROZEN_DOCUMENTS = {
         '0,0.088094690833147651],"a22":[-0.056745511913098304,0.028372755956549152]}}'
     ),
     'greens_complex': (
-        '{"schema":"dirac-shell/1","m":1,"z":[0.29999999999999999,0.5],"x":[0.5,-0.25'
-        '],"kernel":{"a11":[0.14940868656805362,0.08081355112385602],"a12":[-0.108297'
-        '15117334152,0.19362258155137699],"a21":[0.089919774537096681,0.2028112698694'
-        '9941],"a22":[-0.09248622899936669,0.04952151692077765]}}'
+        '{"schema":"dirac-shell/1","m":1,"z":[0.29999999999999999,0.5],"x":[0.5,-0.25]'
+        ',"kernel":{"a11":[0.14940868656805364,0.080813551123856034],"a12":[-0.1082971'
+        '5117334154,0.19362258155137702],"a21":[0.089919774537096681,0.202811269869499'
+        '43],"a22":[-0.092486228999366704,0.049521516920777657]}}'
     ),
     # Re a21 is a product with a zero plus the mass term's zero: it prints 0, not -0
     'greens_signed_zero': (
@@ -284,6 +284,17 @@ def test_greens_eval_document_and_domain(capsys):
     assert code == 3
     code, _ = run(capsys, "greens-eval", "--m", "1", "--z", "1.5")
     assert code == 3  # z on the free spectrum
+
+
+def test_greens_eval_rejects_a_radius_below_the_bessel_range(capsys):
+    # the tail cutoff of the Bessel table overflows there: numpy used to warn
+    # and the trapezoid gave up only after all of its halvings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["greens-eval", "--m", "1", "--z", "0.5j", "--x1", "1e-320", "--x2", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "|a| r = 1.12e-320" in captured.err  # a = sqrt(1.25), r = 1e-320
 
 
 def test_quasimode_document(capsys):

@@ -1,5 +1,8 @@
 """Branch square root, Bessel engine, quadrature and 2x2 matrix algebra."""
+import cmath
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -99,6 +102,66 @@ def test_bessel_ray_values_do_not_depend_on_the_order_of_the_radii(a):
     k0, k1 = bessel_k01_ray(a, r)
     p0, p1 = bessel_k01_ray(a, r[perm])
     assert np.array_equal(p0, k0[perm]) and np.array_equal(p1, k1[perm])
+
+
+def _rays_taken(monkeypatch):
+    """The list that records, in order, the ray bessel_k01_ray calls per block."""
+    taken = []
+    for ray in (numerics._k01_trapezoid, numerics._k01_rotated_ray):
+        def spy(*args, ray=ray):
+            taken.append(ray.__name__)
+            return ray(*args)
+        monkeypatch.setattr(numerics, ray.__name__, spy)
+    return taken
+
+
+SWITCH = numerics._TRAPEZOID_MAX_ARG
+
+
+# the four corners of criterion 9's region of z at m = 1, then |arg a| on
+# both sides of the switch, on both sides of the real axis
+@pytest.mark.parametrize("a, ray", [
+    *(pytest.param(branch_sqrt(1.0 - z * z), "_k01_trapezoid", id=f"z={z}")
+      for z in (0.8 + 0.2j, 0.8 + 1j, -0.8 + 0.2j, -0.8 + 1j)),
+    *(pytest.param(cmath.rect(1.0, phi), ray, id=f"arg a={phi:.2f}")
+      for s in (1, -1)
+      for phi, ray in ((s * (SWITCH - 0.01), "_k01_trapezoid"), (s * (SWITCH + 0.01), "_k01_rotated_ray"))),
+])
+def test_bessel_rays_meet_the_oracle_on_both_sides_of_the_switch(monkeypatch, a, ray):
+    taken = _rays_taken(monkeypatch)
+    r = np.geomspace(1e-3, 25.0, 20) / abs(a)
+    k0, k1 = bessel_k01_ray(a, r)
+    assert set(taken) == {ray}
+    worst = 0.0
+    for i in range(r.size):
+        for got, order in ((k0[i], 0), (k1[i], 1)):
+            ref = bessel_k_oracle(order, a * r[i])
+            worst = max(worst, abs(got - ref) / abs(ref))
+    assert worst <= 1e-11, worst
+
+
+@pytest.mark.parametrize("a", (1.0, cmath.rect(1.0, -1.2)))
+def test_bessel_trapezoid_values_do_not_depend_on_the_table_bound(monkeypatch, a):
+    r = np.geomspace(1e-30, 20.0, 3000)
+    k0, k1 = bessel_k01_ray(a, r)
+    monkeypatch.setattr(numerics, "_TABLE", 1000)  # a few radii per refinement table
+    s0, s1 = bessel_k01_ray(a, r)
+    assert np.array_equal(s0, k0) and np.array_equal(s1, k1)
+
+
+# a real ray, a complex one on the trapezoid, and one on the rotated ray at
+# z = 1.5 + 0.01i, next to the essential spectrum
+@pytest.mark.parametrize("a", (1.0, complex(1.0, 0.8), branch_sqrt(1.0 - (1.5 + 0.01j) ** 2)))
+def test_bessel_rejects_radii_below_its_range_before_any_work(monkeypatch, a):
+    taken = _rays_taken(monkeypatch)
+    floor = numerics._MIN_ARG / abs(a)
+    for tiny in (0.5 * floor, 1e-320):
+        with pytest.raises(ValueError, match="below"):
+            bessel_k01_ray(a, np.array([0.5, tiny, 2.0]))
+    assert taken == []
+    # just above the floor the table still works, without a numpy warning
+    k0, k1 = bessel_k01_ray(a, np.array([2.0 * floor, 1.0]))
+    assert np.all(np.isfinite(k0)) and np.all(np.isfinite(k1)) and taken
 
 
 @pytest.mark.parametrize("a", (1.0, complex(1.0, 0.8)))
@@ -205,8 +268,26 @@ def test_bessel_complex_ray_memory_is_bounded_by_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 64 MB: K0 and K1 share one exp(-w c) table per node set; a copy
-    # that stacks the two orders would take about 126 MB
+    # about 7 MB: at arg a = -0.13 the trapezoid serves this ray; the rotated
+    # ray took about 64 MB
+    assert peak <= 80e6, peak / 1e6
+
+
+@pytest.mark.parametrize("phi", (SWITCH - 0.01, SWITCH + 0.01))
+def test_bessel_memory_next_to_the_switch_is_bounded(phi):
+    x = np.geomspace(1e-6, 27.0, 8192)
+    np.random.default_rng(3).shuffle(x)
+    tracemalloc.start()
+    try:
+        bessel_k01_ray(cmath.rect(1.0, -phi), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # below the switch about 34 MB: the trapezoid builds its 1024-node tables
+    # _TABLE entries at a time, where one table of 4096 radii would take 67 MB;
+    # above it about 64 MB: the rotated ray's K0 and K1 share one exp(-w c)
+    # table per node set, where a copy that stacks the two orders would take
+    # about 126 MB
     assert peak <= 80e6, peak / 1e6
 
 
@@ -306,6 +387,16 @@ def test_mat2c_scalar_entries_stay_python_numbers():
     assert all(type(e) is complex for e in (g.a11, g.a12, g.a21, g.a22))
     assert g.as_array().shape == (2, 2)
     assert g.real_part().a11 == complex(g.a11.real)
+
+
+def test_mat2c_has_no_instance_dict_pickles_and_stays_frozen():
+    g = pauli(2).scale(0.5)
+    stack = _random_mats(np.random.default_rng(2), 3)
+    assert not hasattr(g, "__dict__") and not hasattr(stack, "__dict__")
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert np.array_equal(pickle.loads(pickle.dumps(stack)).as_array(), stack.as_array())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.a11 = 0j
 
 
 def test_pauli_relations():
