@@ -170,7 +170,10 @@ def _grid(args) -> np.ndarray:
         raise UsageError(f"--p-count must be at least 2, got {args.p_count}")
     if not args.p_min < args.p_max:
         raise UsageError(f"need --p-min < --p-max, got [{args.p_min}, {args.p_max}]")
-    return np.linspace(args.p_min, args.p_max, args.p_count)
+    try:
+        return np.linspace(args.p_min, args.p_max, args.p_count)
+    except MemoryError:
+        raise UsageError(f"--p-count {args.p_count} is too many points to allocate") from None
 
 
 def _tol_table(overrides) -> dict:

@@ -11,23 +11,22 @@ Conventions
 
       K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0.
 
-  For real w, and for complex w with |arg w| up to _TRAPEZOID_MAX_ARG,
-  a trapezoid rule along the real t axis on the even integrand halves its
-  step until it converges; off the real axis the integrand decays only in
-  the strip |Im t| < pi/2 - |arg w|, so the node count grows as that strip
-  narrows.  Nearer the imaginary axis the path is bent onto the ray
-  Im t = -arg(w), which removes the oscillation of the integrand at
-  infinity, and both pieces are integrated by tanh-sinh quadrature.  On
-  either ray K0 and K1 share one exponential table.  A batch is sorted by
-  |w| once, and one rule cuts the sorted run for both rays: at every power
+  by one rule: a trapezoid in u on the even integrand along the contour
+  t(u) = u - i theta tanh u, halving its step until it converges.  For
+  real w, and for complex w with |arg w| up to _TRAPEZOID_MAX_ARG,
+  theta = 0 and the contour is the real t axis; off the real axis the
+  integrand then decays only in the strip |Im t| < pi/2 - |arg w|, so the
+  node count grows as that strip narrows.  Nearer the imaginary axis the
+  contour bends, theta = arg w, so that w cosh t is real and positive at
+  infinity and the tail no longer oscillates.  K0 and K1 share one
+  exponential table.  A batch is sorted by |w| once and cut at every power
   of two of the tail cutoff acosh(1 + _TAIL_DROP/|w|) and again every
   _BLOCK arguments, so neither a few tiny arguments nor a large batch
   inflate the tables, and a value does not depend on the order of its
-  batch; the trapezoid also builds each refinement's table at most _TABLE
-  radii x nodes at a time.  Arguments below _MIN_ARG, where the tail
-  cutoff's cosh overflows, are rejected up front.  No special-function
-  library is involved, so the mpmath oracle used in the tests is a
-  genuinely independent check.
+  batch; each refinement's table is built at most _TABLE radii x nodes at
+  a time.  Arguments below _MIN_ARG are rejected up front.  No
+  special-function library is involved, so the mpmath oracle used in the
+  tests is a genuinely independent check.
 * Mat2C holds a 2x2 matrix, or an array of them when its entries are
   arrays; the symbol functions return it in both forms.
 """
@@ -86,6 +85,8 @@ def branch_sqrt(w):
 # ============================================================================
 
 _TS_TMAX = 4.0
+_TS_REL_TOL = 1e-13  # two consecutive levels must agree to this
+_TS_MAX_LEVEL = 12  # step halvings before tanh_sinh gives up
 
 
 def _ts_nodes(a, b, h, odd_only):
@@ -109,30 +110,30 @@ def _ts_nodes(a, b, h, odd_only):
     return x, wgt
 
 
-def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-13, max_level: int = 12):
+def tanh_sinh(f, a: float, b: float):
     """Adaptive tanh-sinh quadrature of f over the finite interval [a, b].
 
     f maps an ndarray of abscissas to values (real or complex) whose last
     axis runs over the abscissas; leading axes, if any, hold a batch of
-    integrands that share the nodes, as in the Bessel rays.  Integrable
-    endpoint singularities are allowed.  Refinement halves the step and
-    reuses previous evaluations; iteration stops once two consecutive
-    levels agree to rel_tol for every integrand of the batch, and
-    RuntimeError is raised when max_level halvings do not get there.
+    integrands that share the nodes.  Integrable endpoint singularities are
+    allowed.  Refinement halves the step and reuses previous evaluations;
+    iteration stops once two consecutive levels agree to _TS_REL_TOL for
+    every integrand of the batch, and RuntimeError is raised when
+    _TS_MAX_LEVEL halvings do not get there.
     """
     h = 0.5
     x, wgt = _ts_nodes(a, b, h, False)
     with np.errstate(under="ignore"):
         total = h * f(x) @ wgt
-        for _ in range(max_level):
+        for _ in range(_TS_MAX_LEVEL):
             h *= 0.5
             x, wgt = _ts_nodes(a, b, h, True)
             add = f(x) @ wgt
             new_total = 0.5 * total + h * add
-            if np.all(np.abs(new_total - total) <= rel_tol * np.abs(new_total) + 1e-300):
+            if np.all(np.abs(new_total - total) <= _TS_REL_TOL * np.abs(new_total) + 1e-300):
                 return new_total
             total = new_total
-    raise RuntimeError(f"tanh_sinh missed rel_tol {rel_tol:g} in {max_level} levels")
+    raise RuntimeError(f"tanh_sinh missed rel_tol {_TS_REL_TOL:g} in {_TS_MAX_LEVEL} levels")
 
 
 # ============================================================================
@@ -158,40 +159,54 @@ _TABLE = 1 << 20  # entries, radii x nodes, of one refinement table of the trape
 def _k01_trapezoid(a: float | complex, r: np.ndarray, rel_tol: float):
     """K0(w) and K1(w) at w = a r for positive radii r, sharing one table.
 
-    Trapezoid rule along the real t axis on the even integrand
-    exp(-w cosh t) cosh(nu t), cut at the tail cutoff of the smallest Re w;
-    the even reflection kills the odd Euler-Maclaurin terms at t = 0 and
-    the double-exponential tail kills them at the cutoff, so halving the
-    step converges geometrically.  a may be real or complex: the integrand
-    decays in the strip |Im t| < pi/2 - |arg a|, so the step that converges
-    shrinks, and the node count grows, like 1/(pi/2 - |arg a|) (Trefethen &
-    Weideman, SIAM Rev. 56, 2014).  Each halving builds its table of new
-    nodes _TABLE entries at a time, so radii x nodes stays bounded.  Both
-    orders share the table; RuntimeError if 14 halvings miss rel_tol.
+    Trapezoid rule in u on the even integrand exp(-w cosh t) cosh(nu t) t'(u)
+    along t(u) = u - i theta tanh u, cut at the block's tail cutoff; the even
+    reflection kills the odd Euler-Maclaurin terms at u = 0 and the
+    double-exponential tail kills them at the cutoff, so halving the step
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  Up
+    to |arg a| = _TRAPEZOID_MAX_ARG, theta = 0: the contour is the real
+    axis, the cutoff is taken at the smallest Re w, and the node count grows
+    like one over the width pi/2 - |arg a| of the strip where the integrand
+    decays.  Past it theta = arg a, so w cosh t is real and positive at
+    infinity; Re(w cosh t(u)) - Re w >= |w| (cosh u - 1) there, so the
+    cutoff is taken at the smallest |w|, and t'(u) = 1 - i theta sech^2 u.
+    Each halving builds its table _TABLE entries at a time; RuntimeError if
+    14 halvings miss rel_tol.
     """
     w = a * r
-    u_max = _tail_cutoff(float(np.min(w.real)))
+    theta = cmath.phase(a)
+    bent = abs(theta) > _TRAPEZOID_MAX_ARG
+    u_max = _tail_cutoff(float(np.min(np.abs(w) if bent else w.real)))
     n = 16
     def _trap(rows, h):
         return h * (0.5 * (rows[:, 0] + rows[:, -1]) + rows[:, 1:-1].sum(axis=1))
 
-    def _table(v, c):  # exp(-v cosh t) for arguments v, built in place from c = cosh t
+    def _nodes(u):  # c = cosh t(u), and t'(u) on the bent contour (None on the straight one)
+        if not bent:
+            return np.cosh(u), None
+        tanh = np.tanh(u)
+        return np.cosh(u - 1j * theta * tanh), 1.0 - 1j * theta * (1.0 - tanh * tanh)
+
+    def _table(v, c, dt):  # exp(-v c) t'(u) for arguments v, built in place
         e = np.outer(v, -c)
-        return np.exp(e, out=e)
+        np.exp(e, out=e)
+        if dt is not None:
+            e *= dt
+        return e
 
     with np.errstate(under="ignore"):
-        c = np.cosh(np.linspace(0.0, u_max, n + 1))
-        e = _table(w, c)
+        c, dt = _nodes(np.linspace(0.0, u_max, n + 1))
+        e = _table(w, c, dt)
         k0 = _trap(e, u_max / n)
         e *= c
         k1 = _trap(e, u_max / n)
         s0, s1 = np.empty_like(w), np.empty_like(w)
         for _ in range(14):
             h = u_max / n
-            c = np.cosh((np.arange(n) + 0.5) * h)
+            c, dt = _nodes((np.arange(n) + 0.5) * h)
             rows = max(1, _TABLE // n)
             for lo in range(0, w.size, rows):
-                e = _table(w[lo:lo + rows], c)
+                e = _table(w[lo:lo + rows], c, dt)
                 s0[lo:lo + rows] = np.sum(e, axis=1)
                 e *= c
                 s1[lo:lo + rows] = np.sum(e, axis=1)
@@ -211,8 +226,8 @@ def _blocks(x: np.ndarray):
     """Slices that cut an ascending run x of |w| at every power of two of the
     leading tail cutoff acosh(1 + _TAIL_DROP/x), and again every _BLOCK
     entries, so neither a few tiny arguments nor a large batch inflate the
-    tables.  The cutoff falls as x grows, so each octave is an interval of
-    x, found by one binary search."""
+    trapezoid's tables.  The cutoff falls as x grows, so each octave is an
+    interval of x, found by one binary search."""
     if not x.size:
         return
     first, last = (math.frexp(math.acosh(1.0 + _TAIL_DROP / float(v)))[1] for v in (x[-1], x[0]))
@@ -225,57 +240,30 @@ def _blocks(x: np.ndarray):
             yield slice(start, min(start + _BLOCK, hi))
 
 
-# |arg a| up to which a ray takes the trapezoid; above it the trapezoid's
-# node count doubles again and the rotated ray is the cheaper of the two
+# |arg a| above which the trapezoid bends its contour.  Past it the straight
+# contour's strip pi/2 - |arg a| is narrower than 0.22 and its node count
+# keeps doubling; below it the real cosh nodes are cheaper to set up than
+# the bent contour's complex ones, which one-radius rays notice
 _TRAPEZOID_MAX_ARG = 1.35
 # smallest |w| the engine takes.  The tail cutoff keeps cosh finite for a
-# scale down to about 4.5e-306; the trapezoid's scale is Re w >= 0.22 |w|,
-# the rotated ray's |w| max(cos(arg a)^2, 1e-12), so 1e-290 serves both
+# scale down to about 4.5e-306, and the scale is Re w >= 0.22 |w| on the
+# straight contour, |w| on the bent one.  1e-290 leaves a wide margin
+# above both and is the floor that README documents for accepted input
 _MIN_ARG = 1e-290
-
-
-def _k01_rotated_ray(a: complex, r: np.ndarray, rel_tol: float):
-    """K0(a r) and K1(a r) for positive radii r along the ray arg = arg(a).
-
-    The contour [0, inf) is bent into the vertical segment t = -i s,
-    0 <= s <= phi, followed by the horizontal ray t = u - i phi.  On the
-    horizontal part Im(w cosh t) decays like exp(-u), so the tail is free
-    of oscillation for every arg(w) in (-pi/2, pi/2).  On both pieces the
-    K1 factor cosh(t) is the exponent's own c = cosh t, so one table of
-    exp(-w c) serves both orders.
-    """
-    phi = cmath.phase(a)
-    sgn = 1.0 if phi >= 0 else -1.0
-    w = a * r
-
-    def pair(c):  # exp(-w c) and c exp(-w c), the integrands of K0 and K1
-        e = np.empty((2, w.size, c.size), dtype=complex)
-        np.multiply.outer(-w, c, out=e[0])
-        np.exp(e[0], out=e[0])
-        np.multiply(e[0], c, out=e[1])
-        return e
-
-    # vertical segment: -i*sgn * int_0^{|phi|} exp(-w cos s) cos(nu s) ds
-    vertical = -1j * sgn * tanh_sinh(lambda s: pair(np.cos(s)), 0.0, abs(phi), rel_tol, 11)
-    # horizontal ray: int_0^U exp(-w cosh(u - i phi)) cosh(nu (u - i phi)) du
-    u_max = _tail_cutoff(float(np.min(np.abs(w))) * max(math.cos(phi) ** 2, 1e-12))
-    horizontal = tanh_sinh(lambda u: pair(np.cosh(u - 1j * phi)), 0.0, u_max, rel_tol, 11)
-    return vertical + horizontal
 
 
 def bessel_k01_ray(a: complex, r):
     """K0 and K1 at a*r for an array of positive radii r, with Re a > 0.
 
     Batch companion of bessel_k, and the one owner of the memory bound: the
-    radii are sorted once and the sorted run is cut by _blocks, the same
-    rule for both rays.  A real a, and a complex a with |arg a| up to
-    _TRAPEZOID_MAX_ARG, takes the trapezoid along the real t axis; only a
-    ray closer to the imaginary axis takes tanh-sinh on the rotated
-    contour.  Each block has the tail cutoff of its own smallest radius, so
-    a radius's value depends on its block alone, not on the order of the
-    batch.  Returns the pair (k0, k1) of complex arrays shaped like r;
-    ValueError, before any work, for a non-finite a or radius or for
-    |a| r < _MIN_ARG, RuntimeError when a block misses BESSEL_TARGET_TOL.
+    radii are sorted once, the sorted run is cut by _blocks, and each block
+    takes the trapezoid, on the real t axis for |arg a| up to
+    _TRAPEZOID_MAX_ARG and on the bent contour nearer the imaginary axis.
+    Each block has the tail cutoff of its own smallest radius, so a radius's
+    value depends on its block alone, not on the order of the batch.
+    Returns the pair (k0, k1) of complex arrays shaped like r; ValueError,
+    before any work, for a non-finite a or radius or for |a| r < _MIN_ARG,
+    RuntimeError when a block misses BESSEL_TARGET_TOL.
     """
     a = complex(a)
     if not cmath.isfinite(a) or a.real <= 0.0:
@@ -292,12 +280,11 @@ def bessel_k01_ray(a: complex, r):
     if x.size and x[-1] > BESSEL_MAX_ARG:
         msg = f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {x[-1]:.3g})"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    ray = _k01_trapezoid if abs(cmath.phase(a)) <= _TRAPEZOID_MAX_ARG else _k01_rotated_ray
     scale = a.real if a.imag == 0.0 else a
     k0 = np.empty(r.size, dtype=complex)
     k1 = np.empty(r.size, dtype=complex)
     for sel in _blocks(x):
-        k0[order[sel]], k1[order[sel]] = ray(scale, run[sel], BESSEL_TARGET_TOL)
+        k0[order[sel]], k1[order[sel]] = _k01_trapezoid(scale, run[sel], BESSEL_TARGET_TOL)
     return k0.reshape(r.shape), k1.reshape(r.shape)
 
 

@@ -137,6 +137,15 @@ def test_dispersion_exit_codes(capsys):
     assert code == 2
 
 
+def test_unallocatable_grid_is_a_usage_error(capsys):
+    # numpy refuses the 7.28 TiB grid before it allocates anything
+    for command in (["dispersion"], ["symbol-eval", "--z", "0.5j"]):
+        code = main([*command, "--eta", "1", "--m", "1", "--p-count", "1000000000000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--p-count 1000000000000" in captured.err
+
+
 # ----------------------------------------------------------------------------
 # symbol and kernel evaluation
 # ----------------------------------------------------------------------------

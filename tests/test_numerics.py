@@ -105,13 +105,16 @@ def test_bessel_ray_values_do_not_depend_on_the_order_of_the_radii(a):
 
 
 def _rays_taken(monkeypatch):
-    """The list that records, in order, the ray bessel_k01_ray calls per block."""
+    """The list that records, in order, the direction a that bessel_k01_ray
+    hands the trapezoid for each block."""
     taken = []
-    for ray in (numerics._k01_trapezoid, numerics._k01_rotated_ray):
-        def spy(*args, ray=ray):
-            taken.append(ray.__name__)
-            return ray(*args)
-        monkeypatch.setattr(numerics, ray.__name__, spy)
+    ray = numerics._k01_trapezoid
+
+    def spy(a, *args):
+        taken.append(a)
+        return ray(a, *args)
+
+    monkeypatch.setattr(numerics, "_k01_trapezoid", spy)
     return taken
 
 
@@ -119,19 +122,19 @@ SWITCH = numerics._TRAPEZOID_MAX_ARG
 
 
 # the four corners of criterion 9's region of z at m = 1, then |arg a| on
-# both sides of the switch, on both sides of the real axis
-@pytest.mark.parametrize("a, ray", [
-    *(pytest.param(branch_sqrt(1.0 - z * z), "_k01_trapezoid", id=f"z={z}")
-      for z in (0.8 + 0.2j, 0.8 + 1j, -0.8 + 0.2j, -0.8 + 1j)),
-    *(pytest.param(cmath.rect(1.0, phi), ray, id=f"arg a={phi:.2f}")
-      for s in (1, -1)
-      for phi, ray in ((s * (SWITCH - 0.01), "_k01_trapezoid"), (s * (SWITCH + 0.01), "_k01_rotated_ray"))),
+# both sides of the bend and next to the imaginary axis, on both sides of
+# the real axis, and z = 3 + 1e-300i, where arg a rounds to -pi/2
+@pytest.mark.parametrize("a", [
+    *(pytest.param(branch_sqrt(1.0 - z * z), id=f"z={z}")
+      for z in (0.8 + 0.2j, 0.8 + 1j, -0.8 + 0.2j, -0.8 + 1j, 3 + 1e-300j)),
+    *(pytest.param(cmath.rect(1.0, s * phi), id=f"arg a={s * phi:.5g}")
+      for s in (1, -1) for phi in (SWITCH - 0.01, SWITCH + 0.01, 1.5703)),
 ])
-def test_bessel_rays_meet_the_oracle_on_both_sides_of_the_switch(monkeypatch, a, ray):
+def test_bessel_rays_meet_the_oracle_on_both_sides_of_the_switch(monkeypatch, a):
     taken = _rays_taken(monkeypatch)
     r = np.geomspace(1e-3, 25.0, 20) / abs(a)
     k0, k1 = bessel_k01_ray(a, r)
-    assert set(taken) == {ray}
+    assert taken and all(t == a for t in taken)
     worst = 0.0
     for i in range(r.size):
         for got, order in ((k0[i], 0), (k1[i], 1)):
@@ -140,7 +143,7 @@ def test_bessel_rays_meet_the_oracle_on_both_sides_of_the_switch(monkeypatch, a,
     assert worst <= 1e-11, worst
 
 
-@pytest.mark.parametrize("a", (1.0, cmath.rect(1.0, -1.2)))
+@pytest.mark.parametrize("a", (1.0, cmath.rect(1.0, -1.2), cmath.rect(1.0, -1.5)))
 def test_bessel_trapezoid_values_do_not_depend_on_the_table_bound(monkeypatch, a):
     r = np.geomspace(1e-30, 20.0, 3000)
     k0, k1 = bessel_k01_ray(a, r)
@@ -149,8 +152,8 @@ def test_bessel_trapezoid_values_do_not_depend_on_the_table_bound(monkeypatch, a
     assert np.array_equal(s0, k0) and np.array_equal(s1, k1)
 
 
-# a real ray, a complex one on the trapezoid, and one on the rotated ray at
-# z = 1.5 + 0.01i, next to the essential spectrum
+# a real ray, a complex one on the straight contour, and one on the bent
+# contour at z = 1.5 + 0.01i, next to the essential spectrum
 @pytest.mark.parametrize("a", (1.0, complex(1.0, 0.8), branch_sqrt(1.0 - (1.5 + 0.01j) ** 2)))
 def test_bessel_rejects_radii_below_its_range_before_any_work(monkeypatch, a):
     taken = _rays_taken(monkeypatch)
@@ -268,12 +271,11 @@ def test_bessel_complex_ray_memory_is_bounded_by_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 7 MB: at arg a = -0.13 the trapezoid serves this ray; the rotated
-    # ray took about 64 MB
+    # about 7 MB: at arg a = -0.13 the straight contour serves this ray
     assert peak <= 80e6, peak / 1e6
 
 
-@pytest.mark.parametrize("phi", (SWITCH - 0.01, SWITCH + 0.01))
+@pytest.mark.parametrize("phi", (SWITCH - 0.01, SWITCH + 0.01, 1.5703))
 def test_bessel_memory_next_to_the_switch_is_bounded(phi):
     x = np.geomspace(1e-6, 27.0, 8192)
     np.random.default_rng(3).shuffle(x)
@@ -285,9 +287,8 @@ def test_bessel_memory_next_to_the_switch_is_bounded(phi):
         tracemalloc.stop()
     # below the switch about 34 MB: the trapezoid builds its 1024-node tables
     # _TABLE entries at a time, where one table of 4096 radii would take 67 MB;
-    # above it about 64 MB: the rotated ray's K0 and K1 share one exp(-w c)
-    # table per node set, where a copy that stacks the two orders would take
-    # about 126 MB
+    # above it, and at 1.5703, about 13 MB: the bent contour's integrand does
+    # not oscillate, so it converges on fewer nodes
     assert peak <= 80e6, peak / 1e6
 
 
@@ -339,6 +340,8 @@ def test_quadratures_raise_when_levels_run_out(monkeypatch):
         tanh_sinh(lambda x: x ** -0.9, 0.0, 1.0)
     with pytest.raises(RuntimeError):
         _k01_trapezoid(1.0, np.array([1.0]), -1.0)
+    with pytest.raises(RuntimeError):  # the bent contour
+        _k01_trapezoid(cmath.rect(1.0, 1.5), np.array([1.0]), -1.0)
     # an unreachable target through the engine, from a batch cut into several blocks
     monkeypatch.setattr(numerics, "BESSEL_TARGET_TOL", -1.0)
     many_bands = np.geomspace(1e-30, 29.0, 64)
