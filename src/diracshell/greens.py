@@ -19,15 +19,22 @@ The kernel's three distinct entries are formed in one place,
 _kernel_terms, for the point kernel, the singular cell, the offset table
 and the direct sum alike.  The quadrature has two paths that give the same
 sums.  At grid-node targets the kernel depends only on the integer offset
-between nodes, so it is tabulated once over the offsets (one Bessel ray on
-the distinct radii) and applied to the whole grid by zero-padded FFT; other
+between nodes, so it is tabulated over the offsets (one Bessel ray on the
+distinct radii) and applied to the whole grid by zero-padded FFT; other
 targets take the direct sum, one kernel value per target-source pair.
+Everything of the node path that does not depend on z (the offset
+geometry, the distinct radii and the source's padded spectra) is built
+once per field, on its first node-path call, and kept with the field,
+whose arrays are read-only copies.  The singular cell is summed on 16
+radii: the square's symmetry leaves two classes of polar angles.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +66,7 @@ def green_kernel(m: float, z: complex, x) -> Mat2C:
     a = branch_sqrt(m * m - z * z)
     k0 = bessel_k(0, a * r)
     k1 = bessel_k(1, a * r)
-    c0, c1m, c1p = _kernel_terms(a, x1, x2, r, k0, k1, 1.0)
+    c0, c1m, c1p = _kernel_terms(a, _phase(x1, x2, r), k0, k1, 1.0)
     # the mass term z sigma_0 + m sigma_3 adds 0 off the diagonal, which
     # turns an exactly vanishing -0 part of c1 phase into +0
     return Mat2C((z + m) * c0, c1m + 0.0, c1p + 0.0, (z - m) * c0)
@@ -143,7 +150,11 @@ class SampledField:
 
     values[i, j] is the spinor at (x1[i], x2[j]); shape (n1, n2, 2).  The
     spacing must match on both axes because the singular-cell quadrature
-    integrates over one square cell.
+    integrates over one square cell.  The field holds read-only copies of
+    the three arrays, so editing the caller's arrays afterwards changes
+    neither the validated grid nor the node plan built from it; the
+    caller's arrays stay writable.  The plan (_NodePlan) is built on the
+    field's first node-path call, not at construction.
     """
 
     x1: np.ndarray
@@ -151,9 +162,9 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        x1 = np.asarray(self.x1, dtype=float)
-        x2 = np.asarray(self.x2, dtype=float)
-        vals = np.asarray(self.values, dtype=complex)
+        x1 = np.array(self.x1, dtype=float)
+        x2 = np.array(self.x2, dtype=float)
+        vals = np.array(self.values, dtype=complex)
         if x1.ndim != 1 or x2.ndim != 1 or x1.size < 2 or x2.size < 2:
             raise ValueError("grid axes must be 1D with at least 2 nodes each")
         h1 = np.diff(x1)
@@ -168,13 +179,17 @@ class SampledField:
             raise ValueError(
                 f"values must have shape {(x1.size, x2.size, 2)}, got {vals.shape}"
             )
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "values", vals)
+        for name, arr in (("x1", x1), ("x2", x2), ("values", vals)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def spacing(self) -> float:
         return float(self.x1[1] - self.x1[0])
+
+    @functools.cached_property
+    def _node_plan(self) -> "_NodePlan":
+        return _NodePlan.build(self)
 
     @classmethod
     def sample(cls, func, half_width: float, count: int) -> "SampledField":
@@ -188,9 +203,14 @@ class SampledField:
         return cls(axis, axis, vals)
 
 
-def _kernel_terms(a: complex, d1, d2, r, k0, k1, weight):
-    """weight * G_z at the offsets (d1, d2) of length r > 0, given K0 and K1
-    at a r, as its three distinct entries (c0, c1 conj(phase), c1 phase):
+def _phase(d1, d2, r):
+    """The unit phase (d1 + i d2) / r of the offset (d1, d2) of length r > 0."""
+    return d1 / r + 1j * (d2 / r)
+
+
+def _kernel_terms(a: complex, phase, k0, k1, weight, back=None):
+    """weight * G_z at offsets of unit phase `phase` (from _phase), given K0
+    and K1 at a r, as its three distinct entries (c0, c1 conj(phase), c1 phase):
 
         weight * G_z(d) = [[(z + m) c0,        c1 conj(phase)],
                            [c1 phase,           (z - m) c0   ]],
@@ -198,30 +218,41 @@ def _kernel_terms(a: complex, d1, d2, r, k0, k1, weight):
 
     The one assembly of the kernel: for Python numbers (green_kernel at one
     point) as for arrays (the singular cell's polar nodes, the offset table
-    and the direct sum)."""
+    and the direct sum).  With `back`, k0, k1 and weight are given on the
+    distinct radii only: c0 and c1 are formed there and gathered to the
+    offsets as c0[back], c1[back].  A gather commutes with elementwise
+    arithmetic, so the values are those of the gathered inputs."""
     c0 = weight * k0 / _TWO_PI
     c1 = weight * (1j * a * k1 / _TWO_PI)
-    phase = d1 / r + 1j * (d2 / r)
+    if back is not None:
+        c0, c1 = c0[back], c1[back]
     return c0, c1 * phase.conjugate(), c1 * phase
 
 
 def _singular_cell(a: complex, h: float):
     """Integral of G_z over the square cell of side h centred at the
     singularity, as the entries (c0, c1 conj(phase), c1 phase) of
-    _kernel_terms: midpoint rule in angle (16 nodes, kink-free placement),
-    Gauss-Legendre in radius up to the cell boundary, so the kernel is
-    summed at polar nodes with weights r dr dtheta.  The odd K_1 part
-    cancels by symmetry; the even K_0 part carries the log singularity,
-    which the radial rule sees only through the bounded function r K_0."""
-    n_ang = 16
-    theta = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
-    rho = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
+    _kernel_terms: midpoint rule in angle (16 nodes at the odd multiples of
+    pi/16, kink-free placement), 8-node Gauss-Legendre in radius up to the
+    cell boundary rho(theta) = h / (2 max(|cos theta|, |sin theta|)), so
+    the kernel is summed at polar nodes with weights r dr dtheta.
+
+    The square's symmetry does most of that sum.  rho takes two values,
+    at pi/16 and 3 pi/16, each shared by 8 of the 16 angles, so the K_0
+    part is 8 times a sum over 2 x 8 = 16 radii.  Each class of 8 angles
+    is closed under rotation by pi/2, so its phases sum to 0 and the odd
+    K_1 entries are exactly 0.  The even K_0 part carries the log
+    singularity, which the radial rule sees only through the bounded
+    function r K_0."""
+    theta = np.array([1.0, 3.0]) * (math.pi / 16.0)
+    rho = 0.5 * h / np.cos(theta)
     t, w = np.polynomial.legendre.leggauss(8)
     r = 0.5 * rho[:, None] * (t[None, :] + 1.0)
-    weight = r * (0.5 * rho[:, None] * w[None, :]) * (2.0 * math.pi / n_ang)
+    # 8 angles of width 2 pi / 16 each: an angular weight of pi per class
+    weight = r * (0.5 * rho[:, None] * w[None, :]) * math.pi
     k0, k1 = bessel_k01_ray(a, r)
-    terms = _kernel_terms(a, np.cos(theta)[:, None], np.sin(theta)[:, None], 1.0, k0, k1, weight)
-    return tuple(np.sum(term) for term in terms)
+    c0 = _kernel_terms(a, 1.0, k0, k1, weight)[0]
+    return np.sum(c0), 0j, 0j
 
 
 def _smooth_length(n: int) -> int:
@@ -236,36 +267,80 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
+class _NodePlan(NamedTuple):
+    """The part of _node_apply that does not depend on z, for one field.
+
+    back and phase run over the (2 n1 - 1) x (2 n2 - 1) integer offsets,
+    with the origin, offset (0, 0), at index (n1 - 1, n2 - 1); there they
+    hold placeholders, since the singular cell takes the origin's place."""
+
+    shape: tuple  # padded FFT shape
+    radii: np.ndarray  # the distinct radii h sqrt(di^2 + dj^2) > 0
+    back: np.ndarray  # each offset's radius: radii[back]
+    phase: np.ndarray  # each offset's _phase
+    spectra: np.ndarray  # fft2 of both source components, shape (2,) + shape
+
+    @classmethod
+    def build(cls, f: SampledField) -> "_NodePlan":
+        n1, n2 = f.x1.size, f.x2.size
+        d1, d2 = np.meshgrid(np.arange(1 - n1, n1), np.arange(1 - n2, n2), indexing="ij")
+        s = d1 * d1 + d2 * d2
+        # radius_sq[0] is the origin's 0, which takes no Bessel value
+        radius_sq, back = np.unique(s, return_inverse=True)
+        r = np.sqrt(s)
+        r[n1 - 1, n2 - 1] = 1.0
+        shape = (_smooth_length(2 * n1 - 1), _smooth_length(2 * n2 - 1))
+        return cls(
+            shape,
+            f.spacing * np.sqrt(radius_sq[1:]),
+            np.maximum(back.reshape(s.shape) - 1, 0),
+            _phase(d1, d2, r),
+            np.fft.fft2(np.moveaxis(f.values, 2, 0), shape),
+        )
+
+
 def _node_apply(m: float, z: complex, a: complex, f: SampledField, cell) -> np.ndarray:
     """The quadrature of resolvent_apply at every grid node, shape (n1, n2, 2).
 
     At a node target G_z(x_i - y_j) depends only on the integer offset
-    i - j, so the kernel is tabulated once on the (2 n1 - 1) x (2 n2 - 1)
+    i - j, so the kernel is tabulated on the (2 n1 - 1) x (2 n2 - 1)
     offsets: one Bessel ray over the distinct radii h sqrt(di^2 + dj^2),
     and the singular cell at offset (0, 0).  The sum over sources is then
     an aperiodic convolution (Hockney & Eastwood, Computer Simulation Using
     Particles, ch. 6), done by FFT on arrays zero-padded to at least
     2 n - 1 per axis, rounded up to a 2*3*5-smooth length: the circular
-    product wraps around only onto entries past the n nodes read off."""
+    product wraps around only onto entries past the n nodes read off.
+
+    Only the z-dependent work happens per call: the Bessel ray, the radial
+    factors on the distinct radii, three table FFTs and two inverse FFTs.
+    The rest comes from the field's _NodePlan.  The three entries are
+    transformed one at a time into the two spinor components' spectra, and
+    the table is freed before the inverse FFTs."""
+    plan = f._node_plan
     h = f.spacing
     n1, n2 = f.x1.size, f.x2.size
-    d1, d2 = np.meshgrid(np.arange(1 - n1, n1), np.arange(1 - n2, n2), indexing="ij")
-    s = (d1 * d1 + d2 * d2).ravel()
-    rest = np.flatnonzero(s)  # every offset but the origin
-    radius_sq, back = np.unique(s[rest], return_inverse=True)
-    k0, k1 = bessel_k01_ray(a, h * np.sqrt(radius_sq))
-    table = np.zeros((3,) + d1.shape, dtype=complex)
-    table.reshape(3, -1)[:, rest] = _kernel_terms(
-        a, d1.ravel()[rest], d2.ravel()[rest], np.sqrt(s[rest]), k0[back], k1[back], h * h
-    )
-    table[:, n1 - 1, n2 - 1] = cell
+    k0, k1 = bessel_k01_ray(a, plan.radii)
+    terms = _kernel_terms(a, plan.phase, k0, k1, h * h, plan.back)
+    f1, f2 = plan.spectra
+    table = np.zeros(plan.shape, dtype=complex)
+    spec = np.empty(plan.shape, dtype=complex)
 
-    shape = (_smooth_length(2 * n1 - 1), _smooth_length(2 * n2 - 1))
-    c0, c1m, c1p = np.fft.fft2(table, shape)
-    f1, f2 = np.fft.fft2(np.moveaxis(f.values, 2, 0), shape)
-    u = np.fft.ifft2(np.stack([c0 * ((z + m) * f1) + c1m * f2, c1p * f1 + c0 * ((z - m) * f2)]))
-    # offset (0, 0) sits at index (n1 - 1, n2 - 1) of the table
-    return np.moveaxis(u[:, n1 - 1 : 2 * n1 - 1, n2 - 1 : 2 * n2 - 1], 0, 2)
+    def transform(entry: int) -> np.ndarray:
+        table[: 2 * n1 - 1, : 2 * n2 - 1] = terms[entry]
+        table[n1 - 1, n2 - 1] = cell[entry]
+        return np.fft.fft2(table, out=spec)
+
+    u1 = (z + m) * f1
+    u2 = (z - m) * f2
+    g = transform(0)
+    np.multiply(g, u1, out=u1)
+    np.multiply(g, u2, out=u2)
+    u1 += np.multiply(transform(1), f2, out=spec)
+    u2 += np.multiply(transform(2), f1, out=spec)
+    del terms, table, spec, g
+    u1 = np.fft.ifft2(u1)[n1 - 1 : 2 * n1 - 1, n2 - 1 : 2 * n2 - 1]
+    u2 = np.fft.ifft2(u2)[n1 - 1 : 2 * n1 - 1, n2 - 1 : 2 * n2 - 1]
+    return np.stack([u1, u2], axis=-1)
 
 
 def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts, i, j) -> np.ndarray:
@@ -292,7 +367,7 @@ def _direct_apply(m: float, z: complex, a: complex, f: SampledField, cell, pts, 
         pair = rows, i[lo + rows] * n2 + j[lo + rows]
         r[pair] = 1.0  # placeholder, overwritten by the cell below
         k0, k1 = bessel_k01_ray(a, r)
-        c0, c1m, c1p = _kernel_terms(a, d1, d2, r, k0, k1, h * h)
+        c0, c1m, c1p = _kernel_terms(a, _phase(d1, d2, r), k0, k1, h * h)
         c0[pair], c1m[pair], c1p[pair] = cell
         u1 = c0 @ ((z + m) * w[:, 0]) + c1m @ w[:, 1]
         u2 = c1p @ w[:, 0] + c0 @ ((z - m) * w[:, 1])
@@ -311,14 +386,17 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
     """Apply the free resolvent to the sampled field f at the given points.
 
     Node-sum quadrature u(x) = sum_j G_z(x - y_j) f(y_j) h^2 with the cell
-    containing the singularity replaced by the polar product rule times the
-    nearest node value.  Each point takes one of two paths, chosen by its
+    containing the singularity replaced by the polar product rule of
+    _singular_cell (16 radii) times the nearest node value.  Each point takes one of two paths, chosen by its
     own coordinates:
 
     * a point on a grid node reads its value off the whole-grid result of
       _node_apply: one kernel table over the integer offsets, applied by
       zero-padded FFT.  This is how the consistency check (finite
-      differences reproduce f) is meant to be driven;
+      differences reproduce f) is meant to be driven.  The field's first
+      such call builds and keeps its z-independent part (offset geometry,
+      distinct radii, source spectra), so later calls at other z on the
+      same field pay only for the Bessel ray and the FFTs;
     * any other point takes the direct sum of _direct_apply, one kernel
       value per source node; inside the sampled rectangle its singular cell
       sits on the nearest node.

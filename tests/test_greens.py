@@ -12,7 +12,7 @@ from diracshell.greens import (
     pde_residual,
     resolvent_apply,
 )
-from diracshell.numerics import Mat2C, branch_sqrt
+from diracshell.numerics import Mat2C, bessel_k01_ray, branch_sqrt
 from diracshell.tolerances import (
     FOURIER_PAIR_TOL,
     PDE_RESIDUAL_TOL,
@@ -202,6 +202,31 @@ def test_sampled_field_constructor_checks():
         SampledField(np.array([0.0, 0.1]), np.array([0.0, 0.1]), np.zeros((2, 2)))
 
 
+def test_sampled_field_holds_read_only_copies():
+    axis = np.linspace(-0.5, 0.5, 11)
+    vals = np.ones((11, 11, 2), dtype=complex)
+    field = SampledField(axis, axis, vals)
+    for arr in (field.x1, field.x2, field.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the caller's arrays are copied, not frozen
+    assert axis.flags.writeable and vals.flags.writeable
+    axis[0] = -0.7
+    vals[5, 5] = 9.0
+    assert field.x1[0] == -0.5 and field.values[5, 5, 0] == 1.0
+
+
+def test_editing_the_source_array_leaves_the_field_unchanged():
+    axis = np.linspace(-0.6, 0.6, 21)
+    vals = np.array(_gaussian_field(count=21).values)
+    field = SampledField(axis, axis, vals)
+    pts = [(axis[10], axis[10]), (0.11, -0.07)]
+    before = resolvent_apply(1.0, 0.5j, field, pts)
+    vals *= 2.0
+    axis[3] += 0.01
+    assert np.array_equal(resolvent_apply(1.0, 0.5j, field, pts), before)
+
+
 def test_resolvent_apply_zero_field_and_shapes():
     axis = np.linspace(-0.5, 0.5, 11)
     zero = SampledField(axis, axis, np.zeros((11, 11, 2)))
@@ -327,6 +352,72 @@ def test_mixed_batch_rows_equal_their_single_target_calls(distinct_radii):
     assert np.array_equal(batch[on_node], singles[on_node])
     assert _rel(batch[~on_node], singles[~on_node]) <= 1e-12
     assert _rel(batch, _direct_sum(1.0, z, field, pts)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:evaluation point within one cell")
+@pytest.mark.parametrize("kind", ("node", "off-node", "mixed"))
+def test_a_used_field_gives_the_bits_of_a_fresh_one(kind):
+    # the node plan is built on the first node-path call and kept with the
+    # field; a later call at another z reads it and must give the same bits
+    # as the same call on a field that never saw a call
+    axis = np.linspace(-0.6, 0.6, 31)
+    field = _spinor_field(axis, axis)
+    node = [(axis[15], axis[15]), (axis[3], axis[20]), (axis[22], axis[9])]
+    off = [(0.1, 0.2), (-0.013, 0.25), (axis[8] + 0.3 * field.spacing, axis[8])]
+    pts = {"node": node, "off-node": off, "mixed": [node[0], off[0], node[1], off[1]]}[kind]
+    assert "_node_plan" not in vars(field)
+    resolvent_apply(1.0, 0.5j, field, _grid_points(field))
+    assert "_node_plan" in vars(field)
+    for z in (0.3 - 0.5j, -0.8 - 0.2j):
+        fresh = SampledField(field.x1, field.x2, field.values)
+        assert np.array_equal(resolvent_apply(1.0, z, field, pts), resolvent_apply(1.0, z, fresh, pts))
+
+
+def test_sampling_builds_no_node_plan():
+    assert "_node_plan" not in vars(_gaussian_field(count=11))
+
+
+# ----------------------------------------------------------------------------
+# singular cell
+# ----------------------------------------------------------------------------
+
+CELL_Z = (0.5j, 0.3 + 0.5j, -0.8 - 0.2j, 1.5 + 0.05j)
+
+
+def _polar_cell_c0(a, h):
+    """The K_0 entry of the singular cell by the full polar rule: 16
+    midpoint angles, each with 8 Gauss-Legendre radii up to the square's
+    boundary, so 128 kernel values."""
+    theta = (np.arange(16) + 0.5) * (2.0 * math.pi / 16)
+    rho = 0.5 * h / np.maximum(np.abs(np.cos(theta)), np.abs(np.sin(theta)))
+    t, w = np.polynomial.legendre.leggauss(8)
+    r = 0.5 * rho[:, None] * (t[None, :] + 1.0)
+    weight = r * (0.5 * rho[:, None] * w[None, :]) * (2.0 * math.pi / 16)
+    k0, _ = bessel_k01_ray(a, r)
+    return np.sum(weight * k0 / TWO_PI)
+
+
+@pytest.mark.parametrize("z", CELL_Z)
+def test_singular_cell_matches_the_full_polar_rule(z):
+    a = branch_sqrt(1.0 - z * z)
+    c0, c1m, c1p = greens._singular_cell(a, 0.02)
+    assert c1m == 0 and c1p == 0
+    ref = _polar_cell_c0(a, 0.02)
+    assert abs(c0 - ref) <= 1e-15 * abs(ref), abs(c0 - ref) / abs(ref)
+
+
+def test_singular_cell_takes_16_radii(monkeypatch):
+    sizes = []
+    ray = greens.bessel_k01_ray
+
+    def spy(a, r):
+        sizes.append(np.size(r))
+        return ray(a, r)
+
+    monkeypatch.setattr(greens, "bessel_k01_ray", spy)
+    greens._singular_cell(branch_sqrt(1.0 - (0.3 + 0.5j) ** 2), 0.02)
+    # two distinct cell-boundary distances times 8 radii, not 16 angles times 8
+    assert sizes == [16]
 
 
 @pytest.mark.filterwarnings("ignore:evaluation point within one cell")
