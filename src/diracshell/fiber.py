@@ -168,30 +168,40 @@ def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:
 
         R = sqrt( int g^2 (z(p) - z(p0))^2 dp / int g^2 dp ),
 
-    integrated adaptively over [p0 - 8 width, p0 + 8 width].  The packet
-    weight g^2 is the Gaussian density with standard deviation `width`, so
-    for small widths R ~ |z'(p0)| width where the band has slope and
-    R ~ width^2 at its extremum.  With the fiber eigenfunctions normalized
-    the packet satisfies ||(A - z(p0)) f|| / ||f|| = R, so R -> 0 certifies
-    that z(p0) belongs to the spectrum."""
+    integrated by tanh_sinh in the packet variable s = (p - p0) / width over
+    [-8, 8], so that p - p0 never loses digits to rounding however narrow
+    the packet or far from p = 0 its centre.  The packet weight g^2 is the
+    Gaussian density with standard deviation `width`, so for small widths
+    R ~ |z'(p0)| width where the band has slope and R ~ width^2 at its
+    extremum; as z is Lipschitz with constant band_ratio, R never exceeds
+    band_ratio * width.  With the fiber eigenfunctions normalized the packet
+    satisfies ||(A - z(p0)) f|| / ||f|| = R, so R -> 0 certifies that z(p0)
+    belongs to the spectrum.  ValueError for a non-finite p0 or width, or a
+    width <= 0."""
+    if not (math.isfinite(p0) and math.isfinite(width)):
+        raise ValueError(f"packet centre and width must be finite, got {p0!r} and {width!r}")
     if width <= 0.0:
         raise ValueError(f"envelope width must be positive, got {width!r}")
     # z(p) = scale * sqrt(p^2 + m^2), the band of dispersion_energy
     scale = params.require_band() * float(params.band_ratio)
-    m = params.m
+    # (z(p) - z(p0)) / width = scale s (2 p0 + width s) / (|(p, m)| + |(p0, m)|)
+    # is homogeneous of degree 0 in (p0, width, m): a power of two brings
+    # their largest near 1, so that nothing under- or overflows
+    e = -math.frexp(max(abs(p0), width, abs(params.m)))[1]
+    p0, w, m = (math.ldexp(v, e) for v in (p0, width, params.m))
+    base = math.hypot(p0, m)
 
-    def envelope_sq(p):
-        d = (p - p0) / width
-        return np.exp(-0.5 * d * d)
+    def envelope_sq(s):
+        return np.exp(-0.5 * s * s)
 
-    def weighted(p):
-        # z(p) - z(p0) without the cancellation near the band's extremum
-        dz = scale * (p - p0) * (p + p0) / (np.sqrt(p * p + m * m) + math.hypot(p0, m))
-        return envelope_sq(p) * dz * dz
+    def weighted(s):
+        # without the cancellation of z(p) - z(p0) near the band's extremum
+        dz = scale * s * (2.0 * p0 + w * s) / (np.hypot(p0 + w * s, m) + base)
+        return envelope_sq(s) * dz * dz
 
-    # for |m| << width the band has a corner at p = 0: one piece on each side
-    lo, hi = p0 - 8.0 * width, p0 + 8.0 * width
-    cut = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    # for |m| << width the band has a corner at p = 0, s = -p0 / width: one
+    # piece on each side
+    cut = [-8.0, -p0 / w, 8.0] if abs(p0) < 8.0 * w else [-8.0, 8.0]
     num = sum(tanh_sinh(weighted, a, b) for a, b in zip(cut, cut[1:]))
-    den = tanh_sinh(envelope_sq, lo, hi)
-    return math.sqrt(float(num.real) / float(den.real))
+    den = tanh_sinh(envelope_sq, -8.0, 8.0)
+    return width * math.sqrt(float(num) / float(den))

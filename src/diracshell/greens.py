@@ -121,9 +121,8 @@ def fourier_pair_check(kappa: float, p_grid=None) -> float:
     # 1e-6 target, and keeps every Bessel argument inside the engine's range
     x_top = 29.0 / kappa
 
-    ts_h = 1.0 / 16.0
-    head_x, head_w = _ts_nodes(0.0, step, ts_h, False)
-    head_w = ts_h * head_w
+    head_x, head_w = _ts_nodes(0.0, step, np.arange(-64, 65) / 16)
+    head_w = head_w / 16
 
     n_chunk = int(math.ceil((x_top - step) / step))
     gl_t, gl_w = np.polynomial.legendre.leggauss(16)

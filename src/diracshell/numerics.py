@@ -27,6 +27,9 @@ Conventions
   a time.  Arguments below _MIN_ARG are rejected up front.  No
   special-function library is involved, so the mpmath oracle used in the
   tests is a genuinely independent check.
+* tanh_sinh, the trapezoid rule after x = tanh(pi/2 sinh t), and the K0/K1
+  trapezoid refine through one driver, _halve: one step-halving loop, one
+  stop test and one RuntimeError when the levels run out.
 * Mat2C holds a 2x2 matrix, or an array of them when its entries are
   arrays; the symbol functions return it in both forms.
 """
@@ -89,18 +92,11 @@ _TS_REL_TOL = 1e-13  # two consecutive levels must agree to this
 _TS_MAX_LEVEL = 12  # step halvings before tanh_sinh gives up
 
 
-def _ts_nodes(a, b, h, odd_only):
-    """Abscissas/weights of the tanh-sinh rule x = mid + rad*tanh(pi/2 sinh(t)).
-
-    Nodes sit at t = k*h over [-tmax, tmax]; odd_only picks the new points
-    of a step-halving refinement.  Offsets from the interval ends are formed
-    without cancellation so integrable endpoint singularities stay resolved.
+def _ts_nodes(a, b, t):
+    """Abscissas/weights of the tanh-sinh rule x = mid + rad*tanh(pi/2 sinh(t))
+    at the nodes t.  Offsets from the interval ends are formed without
+    cancellation so integrable endpoint singularities stay resolved.
     """
-    k_max = int(math.floor(_TS_TMAX / h))
-    k = np.arange(-k_max, k_max + 1)
-    if odd_only:
-        k = k[np.abs(k) % 2 == 1]
-    t = k * h
     g = 0.5 * math.pi * np.sinh(t)
     # 1 + tanh(g) = 2 / (1 + exp(-2g)), kept in product form for stability
     lo = (b - a) / (1.0 + np.exp(-2.0 * g))   # x - a
@@ -110,30 +106,45 @@ def _ts_nodes(a, b, h, odd_only):
     return x, wgt
 
 
+def _halve(total, h, n, level, rel_tol, halvings):
+    """The one refinement loop of the trapezoid rules (tanh_sinh, K0/K1).
+
+    total holds a batch's level-0 trapezoid sums, step h over n intervals
+    of [0, n h]; level(u) returns the plain sums of every integrand over the
+    n midpoints u.  Each halving sets total to 0.5 total + (h/2) level(u),
+    returned once every integrand's last two levels agree to rel_tol;
+    RuntimeError when `halvings` halvings do not get there."""
+    for _ in range(halvings):
+        new = 0.5 * total + 0.5 * h * level((np.arange(n) + 0.5) * h)
+        if np.all(np.abs(new - total) <= rel_tol * np.abs(new) + 1e-300):
+            return new
+        total, h, n = new, 0.5 * h, 2 * n
+    raise RuntimeError(f"trapezoid missed rel_tol {rel_tol:g} in {halvings} halvings")
+
+
 def tanh_sinh(f, a: float, b: float):
     """Adaptive tanh-sinh quadrature of f over the finite interval [a, b].
 
     f maps an ndarray of abscissas to values (real or complex) whose last
     axis runs over the abscissas; leading axes, if any, hold a batch of
     integrands that share the nodes.  Integrable endpoint singularities are
-    allowed.  Refinement halves the step and reuses previous evaluations;
-    iteration stops once two consecutive levels agree to _TS_REL_TOL for
-    every integrand of the batch, and RuntimeError is raised when
-    _TS_MAX_LEVEL halvings do not get there.
+    allowed as far as the rule resolves them: x^-1/2 on [0, 1] converges,
+    x^-0.9 does not.  The trapezoid in t over [-_TS_TMAX, _TS_TMAX] from
+    step 1/2 is refined by _halve until two levels agree to _TS_REL_TOL
+    for every integrand; RuntimeError after _TS_MAX_LEVEL halvings,
+    ValueError before any work for a non-finite endpoint.
     """
-    h = 0.5
-    x, wgt = _ts_nodes(a, b, h, False)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"tanh_sinh needs finite endpoints, got [{a!r}, {b!r}]")
+
+    def level(u):
+        x, wgt = _ts_nodes(a, b, u - _TS_TMAX)
+        return f(x) @ wgt
+
+    h, n = 0.5, 16  # level 0: step 1/2 over [-_TS_TMAX, _TS_TMAX]
     with np.errstate(under="ignore"):
-        total = h * f(x) @ wgt
-        for _ in range(_TS_MAX_LEVEL):
-            h *= 0.5
-            x, wgt = _ts_nodes(a, b, h, True)
-            add = f(x) @ wgt
-            new_total = 0.5 * total + h * add
-            if np.all(np.abs(new_total - total) <= _TS_REL_TOL * np.abs(new_total) + 1e-300):
-                return new_total
-            total = new_total
-    raise RuntimeError(f"tanh_sinh missed rel_tol {_TS_REL_TOL:g} in {_TS_MAX_LEVEL} levels")
+        x, wgt = _ts_nodes(a, b, np.arange(n + 1) * h - _TS_TMAX)
+        return _halve(h * f(x) @ wgt, h, n, level, _TS_REL_TOL, _TS_MAX_LEVEL)
 
 
 # ============================================================================
@@ -170,15 +181,15 @@ def _k01_trapezoid(a: float | complex, r: np.ndarray, rel_tol: float):
     decays.  Past it theta = arg a, so w cosh t is real and positive at
     infinity; Re(w cosh t(u)) - Re w >= |w| (cosh u - 1) there, so the
     cutoff is taken at the smallest |w|, and t'(u) = 1 - i theta sech^2 u.
-    Each halving builds its table _TABLE entries at a time; RuntimeError if
-    14 halvings miss rel_tol.
+    _halve refines the (2, radii) batch of 16-step sums, each level's table
+    built _TABLE entries at a time; RuntimeError if 14 halvings miss rel_tol.
     """
     w = a * r
     theta = cmath.phase(a)
     bent = abs(theta) > _TRAPEZOID_MAX_ARG
     u_max = _tail_cutoff(float(np.min(np.abs(w) if bent else w.real)))
-    n = 16
-    def _trap(rows, h):
+    h, n = u_max / 16, 16  # level 0
+    def _trap(rows):  # level 0's trapezoid sums of a table's rows
         return h * (0.5 * (rows[:, 0] + rows[:, -1]) + rows[:, 1:-1].sum(axis=1))
 
     def _nodes(u):  # c = cosh t(u), and t'(u) on the bent contour (None on the straight one)
@@ -194,32 +205,23 @@ def _k01_trapezoid(a: float | complex, r: np.ndarray, rel_tol: float):
             e *= dt
         return e
 
+    def level(u):  # the plain sums of K0's and K1's integrands over the nodes u
+        c, dt = _nodes(u)
+        rows = max(1, _TABLE // u.size)
+        s = np.empty((2, w.size), dtype=w.dtype)
+        for lo in range(0, w.size, rows):
+            e = _table(w[lo:lo + rows], c, dt)
+            s[0, lo:lo + rows] = np.sum(e, axis=1)
+            e *= c
+            s[1, lo:lo + rows] = np.sum(e, axis=1)
+        return s
+
     with np.errstate(under="ignore"):
         c, dt = _nodes(np.linspace(0.0, u_max, n + 1))
         e = _table(w, c, dt)
-        k0 = _trap(e, u_max / n)
+        k0 = _trap(e)
         e *= c
-        k1 = _trap(e, u_max / n)
-        s0, s1 = np.empty_like(w), np.empty_like(w)
-        for _ in range(14):
-            h = u_max / n
-            c, dt = _nodes((np.arange(n) + 0.5) * h)
-            rows = max(1, _TABLE // n)
-            for lo in range(0, w.size, rows):
-                e = _table(w[lo:lo + rows], c, dt)
-                s0[lo:lo + rows] = np.sum(e, axis=1)
-                e *= c
-                s1[lo:lo + rows] = np.sum(e, axis=1)
-            k0_new = 0.5 * k0 + 0.5 * h * s0
-            k1_new = 0.5 * k1 + 0.5 * h * s1
-            n *= 2
-            done = np.all(np.abs(k0_new - k0) <= rel_tol * np.abs(k0_new) + 1e-300) and np.all(
-                np.abs(k1_new - k1) <= rel_tol * np.abs(k1_new) + 1e-300
-            )
-            k0, k1 = k0_new, k1_new
-            if done:
-                return k0, k1
-    raise RuntimeError(f"K0/K1 trapezoid missed rel_tol {rel_tol:g} after 14 halvings")
+        return _halve(np.stack([k0, _trap(e)]), h, n, level, rel_tol, 14)
 
 
 def _blocks(x: np.ndarray):

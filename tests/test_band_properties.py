@@ -1,5 +1,6 @@
 """Property tests of the in-gap band's exact side, edge and momenta, over
-exact rational couplings that include values within 1e-30 of 0 and +/-2."""
+exact rational couplings that include values within 1e-30 of 0 and +/-2,
+and of the quasi-mode residual that certifies the band's energies."""
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from diracshell.cli import main  # noqa: E402
+from diracshell.fiber import quasimode_residual  # noqa: E402
 from diracshell.spectrum import dispersion_momentum, sign_condition  # noqa: E402
 from diracshell.symbol import ShellParams, critical_momenta  # noqa: E402
 
@@ -73,3 +75,19 @@ def test_partner_coupling_gives_identical_spectrum_documents(eta, m):
     doc = _run("spectrum", eta, m)
     partner = _run("spectrum", -4 / eta, m)
     assert without_eta(doc) == without_eta(partner)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    eta=st.fractions(min_value=-50, max_value=50, max_denominator=1000).filter(
+        lambda e: e not in (0, 2, -2)),
+    m=st.floats(min_value=1e-3, max_value=10.0),
+    p0=st.floats(min_value=-1e6, max_value=1e6),
+    width=st.floats(min_value=1e-12, max_value=1e3),
+)
+def test_quasimode_residual_answers_within_the_slope_bound(eta, m, p0, width):
+    # z(p) is Lipschitz with constant band_ratio, so the packet's spread of
+    # energies is at most band_ratio times its width in momentum
+    params = ShellParams.from_decimal(str(eta), repr(m))
+    got = quasimode_residual(params, p0, width)
+    assert 0.0 <= got <= float(params.band_ratio) * width * (1.0 + 1e-12)

@@ -315,6 +315,10 @@ def test_quasimode_document(capsys):
     assert 0.0 < doc["residual"] < QUASIMODE_RESIDUAL_TOL
     code, _ = run(capsys, "quasimode", "--eta", "2", "--m", "1")
     assert code == 3
+    # a narrow packet far from p = 0 exited 3: the quadrature in p ran out of levels
+    code, out = run(capsys, "quasimode", "--eta", "1", "--m", "1", "--p0", "5", "--width", "1e-8")
+    assert code == 0
+    assert abs(json.loads(out)["residual"] / 1e-8 - 3.0 / math.sqrt(26.0)) <= 1e-12
 
 
 # ----------------------------------------------------------------------------

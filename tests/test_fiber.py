@@ -221,9 +221,38 @@ def test_quasimode_residual_where_the_direct_form_fails():
         assert abs(got - want) <= 1e-5 * want, (m, width)
 
 
+@pytest.mark.parametrize("eta, m, p0, width", [
+    ("1", "1", 5.0, 1e-8),  # these three raised RuntimeError: p - p0 lost its digits
+    ("1", "1", 2.0, 1e-11),
+    ("1", "1", 1e6, 1.0),
+    ("1", "1", 5.0, 1e-100),  # p0 +- 8 width rounded to p0: ZeroDivisionError
+    ("1", "1/1000", 8193.0, 1 / 32),  # gave 0.018750000000021066, above the bound
+])
+def test_quasimode_residual_of_narrow_or_far_packets(eta, m, p0, width):
+    par = ShellParams.from_decimal(eta, m)
+    slope = float(par.band_ratio) * abs(p0) / math.hypot(p0, par.m)  # |z'(p0)|
+    got = quasimode_residual(par, p0, width)
+    assert abs(got - slope * width) <= 1e-6 * slope * width
+    assert got <= float(par.band_ratio) * width
+
+
+def test_quasimode_residual_is_homogeneous_to_the_last_bit():
+    # R(l p0, l width, l m) = l R(p0, width, m); a power of two l = 2^+-1000
+    # once ended in nan (0/0 at m = 0) or in an overflow warning
+    for m, p0, width in ((1.0, 2.0, 0.25), (0.0, 0.0, 0.5), (1e-3, -3.0, 1.0)):
+        want = quasimode_residual(ShellParams(1.0, m), p0, width)
+        for k in (1000, -1000):
+            par = ShellParams(1.0, math.ldexp(m, k))
+            got = quasimode_residual(par, math.ldexp(p0, k), math.ldexp(width, k))
+            assert got == math.ldexp(want, k), (m, p0, width, k)
+
+
 def test_quasimode_residual_domain():
     par = ShellParams.from_decimal("1", "1")
     with pytest.raises(ValueError):
         quasimode_residual(par, 0.0, 0.0)
+    for p0, width in ((math.inf, 0.1), (math.nan, 0.1), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            quasimode_residual(par, p0, width)
     with pytest.raises(ValueError):
         quasimode_residual(ShellParams.from_decimal("2", "1"), 0.0, 0.1)

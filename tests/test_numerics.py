@@ -246,6 +246,55 @@ def test_bessel_scalar_real_values_are_frozen():
         assert bessel_k(1, x) == complex(k1, 0.0), x
 
 
+def test_bessel_complex_values_are_frozen():
+    # K0 and K1 at w = a r for |w| in {1e-3, 0.37, 4.2, 25}: three directions
+    # on the straight contour, two past _TRAPEZOID_MAX_ARG on the bent one;
+    # each radius sits in its own tail-cutoff octave, so in its own block
+    frozen = {
+        0.3: (
+            (7.0236884925474055-0.2999989292714593j), (955.3328509709752-295.5211750619978j),
+            (1.1759462803169645-0.2670112130381381j), (2.275612232721236-0.8390251780620455j),
+            (0.002002874824279813-0.010591691885958605j), (0.001880534555142116-0.011807730960091403j),
+            (3.3029894995003825e-12-1.0054546209036064e-11j), (3.3072197631466347e-12-1.026421253215085e-11j),
+        ),
+        -0.9: (
+            (7.0236865580065295+0.899997995417481j), (621.6072773746437+783.3295766564324j),
+            (1.1229711969838725+0.8227743838122371j), (1.3699990772681012+2.2526658640473887j),
+            (-0.036935261637597784-0.02409833993010531j), (-0.03758796652569052-0.029114108694777326j),
+            (1.697234694267502e-08+4.117252145927132e-08j), (1.6546846375096e-08+4.194863095056103e-08j),
+        ),
+        1.34: (
+            (7.023685147850548-1.3399988066731128j), (228.7512950419715-973.4880505269891j),
+            (1.0660956699527797-1.2676155838693932j), (0.31676192432965145-2.861272027209616j),
+            (0.004466724986928371+0.23176180667291435j), (0.030552443559951226+0.23876201477945616j),
+            (0.0008150755234525+0.00010693185521186977j), (0.0008210179079158171+9.164766638274002e-05j),
+        ),
+        1.36: (
+            (7.023685103493532-1.3599988689194884j), (209.23721382077005-977.8681387261547j),
+            (1.0635452368820935-1.2888078712752222j), (0.2649840933598831-2.878044458858186j),
+            (0.01193894344497948+0.2514458298829153j), (0.04062151691191686+0.2576951427209636j),
+            (0.0013390321331189768+1.4691661635207895e-05j), (0.001345159346016788-1.1314383507168998e-05j),
+        ),
+        -1.5703: (
+            (7.023684789109662+1.5702996054340335j), (0.49553975761105595+1000.0036382825849j),
+            (1.0387763136730035+1.5169444234006046j), (-0.28435789299593034+2.9930275767626244j),
+            (0.14681037177835132-0.5902906865550083j), (0.21719265800494114-0.5769494306756306j),
+            (0.19745509665613986+0.14930084016296047j), (0.19451164880518884+0.1532795974853214j),
+        ),
+    }
+    for arg, values in frozen.items():
+        k0, k1 = bessel_k01_ray(cmath.rect(1.0, arg), np.array([1e-3, 0.37, 4.2, 25.0]))
+        assert k0.tolist() == list(values[0::2]), arg
+        assert k1.tolist() == list(values[1::2]), arg
+
+
+def test_tanh_sinh_values_are_frozen():
+    assert tanh_sinh(np.sin, 0.0, math.pi) == 2.0
+    assert tanh_sinh(lambda x: x ** -0.5, 0.0, 1.0) == 1.9999999999999998
+    batch = tanh_sinh(lambda x: np.array([np.exp(1j * x), np.cos(x)]), 0.0, 1.0)
+    assert batch.tolist() == [0.8414709848078965+0.4596976941318603j, 0.8414709848078965+0j]
+
+
 def test_bessel_real_ray_memory_is_bounded_by_blocks():
     x = np.geomspace(1e-30, 29.0, 200_000)
     np.random.default_rng(3).shuffle(x)
@@ -350,6 +399,21 @@ def test_tanh_sinh_smooth_and_singular_integrands():
     got = tanh_sinh(lambda x: np.exp(1j * x), 0.0, 1.0)
     want = complex(math.sin(1.0), 1.0 - math.cos(1.0))
     assert abs(got - want) <= 1e-12
+
+
+def test_tanh_sinh_rejects_non_finite_endpoints():
+    # an infinite end warned "invalid value encountered in subtract"; a NaN
+    # end ran all the levels before it raised RuntimeError
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(x)
+
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            tanh_sinh(f, a, b)
+    assert calls == []
 
 
 def test_quadratures_raise_when_levels_run_out(monkeypatch):
