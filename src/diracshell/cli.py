@@ -170,6 +170,8 @@ def _grid(args) -> np.ndarray:
         raise UsageError(f"--p-count must be at least 2, got {args.p_count}")
     if not args.p_min < args.p_max:
         raise UsageError(f"need --p-min < --p-max, got [{args.p_min}, {args.p_max}]")
+    if not math.isfinite(args.p_max - args.p_min):
+        raise UsageError(f"the span of [{args.p_min}, {args.p_max}] overflows a float")
     try:
         return np.linspace(args.p_min, args.p_max, args.p_count)
     except MemoryError:
@@ -225,15 +227,15 @@ def _not_applicable(name: str, reason: str) -> dict:
     }
 
 
-def suite_symbol(params: ShellParams, tols: dict, samples: int = 1000) -> list:
+def suite_symbol(params: ShellParams, tols: dict) -> list:
     """Algebraic identities of the boundary symbol on random points."""
     names = ("det_closed_vs_direct", "inverse_product", "anchor_split", "anchor_independence")
     if params.eta == 0.0:
         return [_not_applicable(n, "eta = 0: boundary symbols undefined") for n in names]
     rng = np.random.default_rng(20230817)
-    p = rng.uniform(-10.0, 10.0, samples)
-    z = rng.uniform(-3.0, 3.0, samples) + 1j * (
-        rng.choice([-1.0, 1.0], samples) * rng.uniform(0.3, 2.5, samples)
+    p = rng.uniform(-10.0, 10.0, 1000)
+    z = rng.uniform(-3.0, 3.0, 1000) + 1j * (
+        rng.choice([-1.0, 1.0], 1000) * rng.uniform(0.3, 2.5, 1000)
     )
     anchor_a = default_anchor(params)
     anchor_b = 0.7 - 1.3j

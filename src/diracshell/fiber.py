@@ -15,8 +15,15 @@ decaying solutions satisfies the transmission condition
     i sigma_2 (f_up - f_down) = (eta/2) (f_up + f_down)      on the shell.
 
 matching_determinant evaluates the determinant of that 2x2 homogeneous
-system.  Nothing here touches the boundary-symbol module, so agreement of
-the roots with the closed-form dispersion relation checks both routes.
+system.  From the boundary-symbol module this module takes ShellParams
+alone, and besides eta and m it reads only the exact fields: critical to
+guard kernel_at_zero_scan, band_sign to refuse eta in {0, +2, -2},
+band_ratio to place the upper end of fiber_eigenvalue's scan, and
+band_sign * band_ratio as the band's slope scale in quasimode_residual.
+The root itself is a sign change of the matching determinant, which is
+formed from eta, m, p and z alone and calls no symbol function, so
+agreement of the roots with the closed-form dispersion relation checks
+both routes.
 
 A normalization detail that matters: the textbook solution vectors
 (p + kappa, z - m) and (p - kappa, z - m) each vanish identically at one
@@ -190,13 +197,17 @@ def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:
     e = -math.frexp(max(abs(p0), width, abs(params.m)))[1]
     p0, w, m = (math.ldexp(v, e) for v in (p0, width, params.m))
     base = math.hypot(p0, m)
+    # the quotient is then at most of the order of max(|p0|, width), which
+    # underflows once squared when |m| is far above both: a second power of
+    # two lifts it near 1 before the squaring, and the result drops it again
+    g = -math.frexp(max(abs(p0), w))[1]
 
     def envelope_sq(s):
         return np.exp(-0.5 * s * s)
 
     def weighted(s):
         # without the cancellation of z(p) - z(p0) near the band's extremum
-        dz = scale * s * (2.0 * p0 + w * s) / (np.hypot(p0 + w * s, m) + base)
+        dz = np.ldexp(scale * s * (2.0 * p0 + w * s) / (np.hypot(p0 + w * s, m) + base), g)
         return envelope_sq(s) * dz * dz
 
     # for |m| << width the band has a corner at p = 0, s = -p0 / width: one
@@ -204,4 +215,4 @@ def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:
     cut = [-8.0, -p0 / w, 8.0] if abs(p0) < 8.0 * w else [-8.0, 8.0]
     num = sum(tanh_sinh(weighted, a, b) for a, b in zip(cut, cut[1:]))
     den = tanh_sinh(envelope_sq, -8.0, 8.0)
-    return width * math.sqrt(float(num) / float(den))
+    return math.ldexp(width * math.sqrt(float(num) / float(den)), -g)

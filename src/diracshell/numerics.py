@@ -167,7 +167,7 @@ _BLOCK = 4096  # radii per block of a sorted batch
 _TABLE = 1 << 20  # entries, radii x nodes, of one refinement table of the trapezoid
 
 
-def _k01_trapezoid(a: float | complex, r: np.ndarray, rel_tol: float):
+def _k01_trapezoid(a: float | complex, r: np.ndarray):
     """K0(w) and K1(w) at w = a r for positive radii r, sharing one table.
 
     Trapezoid rule in u on the even integrand exp(-w cosh t) cosh(nu t) t'(u)
@@ -182,7 +182,8 @@ def _k01_trapezoid(a: float | complex, r: np.ndarray, rel_tol: float):
     infinity; Re(w cosh t(u)) - Re w >= |w| (cosh u - 1) there, so the
     cutoff is taken at the smallest |w|, and t'(u) = 1 - i theta sech^2 u.
     _halve refines the (2, radii) batch of 16-step sums, each level's table
-    built _TABLE entries at a time; RuntimeError if 14 halvings miss rel_tol.
+    built _TABLE entries at a time; RuntimeError if 14 halvings miss
+    BESSEL_TARGET_TOL.
     """
     w = a * r
     theta = cmath.phase(a)
@@ -221,7 +222,7 @@ def _k01_trapezoid(a: float | complex, r: np.ndarray, rel_tol: float):
         e = _table(w, c, dt)
         k0 = _trap(e)
         e *= c
-        return _halve(np.stack([k0, _trap(e)]), h, n, level, rel_tol, 14)
+        return _halve(np.stack([k0, _trap(e)]), h, n, level, BESSEL_TARGET_TOL, 14)
 
 
 def _blocks(x: np.ndarray):
@@ -286,7 +287,7 @@ def bessel_k01_ray(a: complex, r):
     k0 = np.empty(r.size, dtype=complex)
     k1 = np.empty(r.size, dtype=complex)
     for sel in _blocks(x):
-        k0[order[sel]], k1[order[sel]] = _k01_trapezoid(scale, run[sel], BESSEL_TARGET_TOL)
+        k0[order[sel]], k1[order[sel]] = _k01_trapezoid(scale, run[sel])
     return k0.reshape(r.shape), k1.reshape(r.shape)
 
 

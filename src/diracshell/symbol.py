@@ -54,7 +54,6 @@ __all__ = [
     "dispersion_function",
     "boundary_symbol_inverse",
     "critical_momenta",
-    "hybrid_grid",
     "limit_sup_table",
     "limit_im_table",
     "default_anchor",
@@ -311,82 +310,53 @@ def critical_momenta(params: ShellParams, x: float):
 
 
 # ----------------------------------------------------------------------------
-# diagnostics grids and boundary-value tables
+# boundary-value tables
 # ----------------------------------------------------------------------------
 
-def hybrid_grid(p_min: float = -100.0, p_max: float = 100.0, count: int = 4001) -> np.ndarray:
-    """Momentum sample grid mixing linear coverage with geometric spacing.
-
-    The linear part resolves order-one structures anywhere on the interval;
-    the geometric part concentrates nodes over several decades so both the
-    kappa ~ |p| tail and the unit-scale region stay resolved.  Returns
-    exactly `count` sorted nodes.
-    """
-    if count < 2:
-        raise ValueError(f"grid needs at least 2 nodes, got {count}")
-    if not p_min < p_max:
-        raise ValueError(f"empty momentum interval [{p_min!r}, {p_max!r}]")
-    if not (p_min < 0.0 < p_max):
-        return np.linspace(p_min, p_max, count)
-    n_side = count // 4
-    n_lin = count - 2 * n_side
-    lin = np.linspace(p_min, p_max, n_lin)
-    # geometric radii strictly inside the interval, spanning five decades;
-    # midpoint exponents keep the ladder off round log-scale values, which
-    # otherwise tend to collide with dispersion momenta in the diagnostics
-    expo = (np.arange(1, n_side + 1) - 0.5) / n_side
-    pos = p_max * 10.0 ** (-5.0 * expo)
-    neg = p_min * 10.0 ** (-5.0 * expo)
-    return np.sort(np.concatenate([lin, pos, neg]))
+# The momentum nodes of limit_sup_table, 4001 on [-100, 100]: 2001 evenly
+# spaced for order-one structures anywhere, and on each side 1000 geometric
+# radii over five decades below 100 for the kappa ~ |p| tail and the unit
+# scale.  Midpoint exponents keep the ladder off round log-scale values,
+# which otherwise tend to collide with dispersion momenta.
+_LADDER = 100.0 * 10.0 ** (-5.0 * ((np.arange(1, 1001) - 0.5) / 1000))
+_SUP_GRID = np.sort(np.concatenate([np.linspace(-100.0, 100.0, 2001), _LADDER, -_LADDER]))
+_SUP_GRID.flags.writeable = False
 
 
-def _check_y_list(y_list) -> tuple:
-    ys = tuple(float(y) for y in y_list)
-    if not ys or any(y <= 0.0 for y in ys):
-        raise ValueError("y values must be strictly positive")
-    if any(b >= a for a, b in zip(ys, ys[1:])):
-        raise ValueError("y values must be strictly decreasing")
-    return ys
-
-
-def limit_sup_table(params: ShellParams, x: float, y_list=DEFAULT_SUP_Y, p_grid=None):
+def limit_sup_table(params: ShellParams, x: float):
     """Table of (y, sup over the grid of || y * inverse boundary symbol ||)
-    at z = x + i y, entrywise sup norm.
+    at z = x + i y for y in DEFAULT_SUP_Y, entrywise sup norm, over the
+    4001 nodes of _SUP_GRID.
 
     For x on the essential spectrum the true sup over all real p does not
     vanish when the dispersion function has real zeros: at a critical
     momentum pc the inverse grows like 1/y.  At a fixed node p the product
     behaves like y / (y + |p - pc|), so it decays linearly in y only once y
     is well below the node's distance from pc.  The table therefore keeps
-    only the nodes at distance at least max(y_list) from every critical
-    momentum, where that model stays within a factor 2 of y / |p - pc| for
-    every y of the table; over them the sampled sup decays linearly in y,
-    which is the strong-resolvent statement this table diagnoses.
-    Requires |x| >= |m|.
+    only the nodes at distance at least max(DEFAULT_SUP_Y) = 0.1 from every
+    critical momentum, where that model stays within a factor 2 of
+    y / |p - pc| for every y of the table; over them the sampled sup decays
+    linearly in y, which is the strong-resolvent statement this table
+    diagnoses.  Two momenta exclude at most 0.4 of the 200-wide grid, so
+    nodes always remain.  Requires |x| >= |m|.
     """
     _require_coupled(params)
     x = float(x)
-    if abs(x) < abs(params.m):
-        raise ValueError(f"|x| >= |m| required, got x={x!r} with m={params.m!r}")
-    ys = _check_y_list(y_list)
-    grid = hybrid_grid() if p_grid is None else np.asarray(p_grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError("p grid needs at least 2 nodes")
+    grid = _SUP_GRID
     crit = critical_momenta(params, x)
     if crit is not None:
-        grid = grid[np.min(np.abs(grid[:, None] - np.array(crit)), axis=1) >= max(ys)]
-        if grid.size == 0:
-            raise ValueError("every grid node lies within max(y_list) of a critical momentum")
+        grid = grid[np.min(np.abs(grid[:, None] - np.array(crit)), axis=1) >= max(DEFAULT_SUP_Y)]
     rows = []
-    for y in ys:
+    for y in DEFAULT_SUP_Y:
         inv = boundary_symbol_inverse(params, grid, complex(x, y))
         rows.append((y, y * float(np.max(inv.max_abs()))))
     return rows
 
 
-def limit_im_table(params: ShellParams, x: float, interval, y_list=DEFAULT_IM_Y, n_nodes: int = 201):
+def limit_im_table(params: ShellParams, x: float, interval):
     """Table of (y, max over the interval of |Im inverse boundary symbol|)
-    at z = x + i y.
+    at z = x + i y for y in DEFAULT_IM_Y, over 201 evenly spaced nodes
+    spanning the closed interval.
 
     The interval must sit strictly inside the fiber-oscillation window
     (-sqrt(x^2 - m^2), sqrt(x^2 - m^2)) and away from the critical momenta;
@@ -409,10 +379,9 @@ def limit_im_table(params: ShellParams, x: float, interval, y_list=DEFAULT_IM_Y,
     crit = critical_momenta(params, x)
     if crit is not None and any(a <= pc <= b for pc in crit):
         raise ValueError("interval touches a critical momentum")
-    ys = _check_y_list(y_list)
-    grid = np.linspace(a, b, n_nodes)
+    grid = np.linspace(a, b, 201)
     rows = []
-    for y in ys:
+    for y in DEFAULT_IM_Y:
         inv = boundary_symbol_inverse(params, grid, complex(x, y))
         # inv - Re inv = i Im inv exactly, so this is the entrywise max |Im|
         rows.append((y, float(np.max((inv - inv.real_part()).max_abs()))))

@@ -7,6 +7,7 @@ import time
 import warnings
 from pathlib import Path
 
+import diracshell
 from diracshell import cli
 from diracshell.cli import main
 from diracshell.spectrum import SpectrumDescription, full_spectrum
@@ -135,6 +136,19 @@ def test_dispersion_exit_codes(capsys):
     code, _ = run(capsys, "dispersion", "--eta", "1", "--m", "1",
                   "--p-min", "3", "--p-max", "-3")
     assert code == 2
+
+
+def test_overflowing_grid_span_is_a_usage_error(capsys):
+    # numpy warned "overflow encountered in subtract" inside linspace and the
+    # command exited 3; under an error filter the warning escaped main
+    for command in (["dispersion"], ["symbol-eval", "--z", "0.5j"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*command, "--eta", "1", "--m", "1",
+                         "--p-min", "-1e308", "--p-max", "1e308", "--p-count", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "overflows" in captured.err
 
 
 def test_unallocatable_grid_is_a_usage_error(capsys):
@@ -422,6 +436,95 @@ def test_verify_rejects_unknown_suite(capsys):
     assert code == 2
 
 
+# (name, status, repr(measured)) of every `verify --suite all` row: the JSON
+# carries 17 significant digits, so these pin the bits of each measured value.
+FROZEN_VERIFY = {
+    ('1', '1'): (
+        ('det_closed_vs_direct', 'pass', '8.560560326842289e-16'),
+        ('inverse_product', 'pass', '9.930136612989092e-16'),
+        ('anchor_split', 'pass', '4.47047574247688e-16'),
+        ('anchor_independence', 'pass', '5.617389957663665e-16'),
+        ('fiber_vs_dispersion', 'pass', '2.9543034685275416e-13'),
+        ('detuned_kernel_floor', 'pass', '1.5'),
+        ('sup_decay_ratio', 'pass', '0.00022011053145770313'),
+        ('im_limit_floor', 'pass', '0.4948716576727404'),
+        ('im_limit_cauchy', 'pass', '1.4693877670168831e-08'),
+        ('pde_residual', 'pass', '2.9860488333019464e-07'),
+        ('pde_richardson_ratio', 'pass', '4.000001293585263'),
+        ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
+        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+    ),
+    ('2', '1'): (
+        ('det_closed_vs_direct', 'pass', '5.1745067241029535e-15'),
+        ('inverse_product', 'pass', '5.3475422218306674e-15'),
+        ('anchor_split', 'pass', '3.45760846255256e-16'),
+        ('anchor_independence', 'pass', '4.097049245901317e-16'),
+        ('fiber_vs_dispersion', 'not-applicable', 'None'),
+        ('critical_kernel_sup', 'pass', '0'),
+        ('sup_decay_ratio', 'pass', '0.00011634812400843008'),
+        ('im_limit_floor', 'pass', '0.8660254062844386'),
+        ('im_limit_cauchy', 'pass', '2.2500001306546835e-08'),
+        ('pde_residual', 'pass', '2.9860488333019464e-07'),
+        ('pde_richardson_ratio', 'pass', '4.000001293585263'),
+        ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
+        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+    ),
+    ('-8', '2'): (
+        ('det_closed_vs_direct', 'pass', '1.1975552616464741e-15'),
+        ('inverse_product', 'pass', '1.1102230246251565e-15'),
+        ('anchor_split', 'pass', '2.441702820641942e-16'),
+        ('anchor_independence', 'pass', '3.047762574198609e-16'),
+        ('fiber_vs_dispersion', 'pass', '4.0945025148175773e-13'),
+        ('detuned_kernel_floor', 'pass', '120'),
+        ('sup_decay_ratio', 'pass', '0.000252235423284545'),
+        ('im_limit_floor', 'pass', '2.9171381986755613'),
+        ('im_limit_cauchy', 'pass', '3.191135933278133e-08'),
+        ('pde_residual', 'pass', '2.5913341531423606e-07'),
+        ('pde_richardson_ratio', 'pass', '4.0000041552415855'),
+        ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
+        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+    ),
+    ('0', '1'): (
+        ('det_closed_vs_direct', 'not-applicable', 'None'),
+        ('inverse_product', 'not-applicable', 'None'),
+        ('anchor_split', 'not-applicable', 'None'),
+        ('anchor_independence', 'not-applicable', 'None'),
+        ('fiber_vs_dispersion', 'not-applicable', 'None'),
+        ('detuned_kernel_floor', 'not-applicable', 'None'),
+        ('sup_decay_ratio', 'not-applicable', 'None'),
+        ('im_limit_floor', 'not-applicable', 'None'),
+        ('im_limit_cauchy', 'not-applicable', 'None'),
+        ('pde_residual', 'pass', '2.9860488333019464e-07'),
+        ('pde_richardson_ratio', 'pass', '4.000001293585263'),
+        ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
+        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+    ),
+    ('2', '0'): (
+        ('det_closed_vs_direct', 'pass', '4.853931722699185e-15'),
+        ('inverse_product', 'pass', '3.972054645195637e-15'),
+        ('anchor_split', 'pass', '2.2040252060299895e-16'),
+        ('anchor_independence', 'pass', '3.1691502607109413e-16'),
+        ('fiber_vs_dispersion', 'not-applicable', 'None'),
+        ('zero_energy_kernel', 'not-applicable', 'None'),
+        ('sup_decay_ratio', 'not-applicable', 'None'),
+        ('im_limit_floor', 'not-applicable', 'None'),
+        ('im_limit_cauchy', 'not-applicable', 'None'),
+        ('pde_residual', 'pass', '3.2360970307621084e-07'),
+        ('pde_richardson_ratio', 'pass', '4.00000040729184'),
+        ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
+        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+    ),
+}
+
+
+def test_verify_measured_values_frozen(capsys):
+    for (eta, m), frozen in FROZEN_VERIFY.items():
+        code, out = run(capsys, "verify", "--suite", "all", "--eta", eta, "--m", m)
+        assert code == 0, (eta, m)
+        rows = tuple((c["name"], c["status"], repr(c["measured"])) for c in json.loads(out)["checks"])
+        assert rows == frozen, (eta, m)
+
+
 # ----------------------------------------------------------------------------
 # argument handling and output files
 # ----------------------------------------------------------------------------
@@ -570,3 +673,9 @@ def test_readme_command_line_examples_run(capsys):
         code, out = run(capsys, *argv)
         assert code == 0, argv
         assert out
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [name for name in diracshell.__all__ if f"`{name}`" not in readme]
+    assert not missing

@@ -247,6 +247,15 @@ def test_quasimode_residual_is_homogeneous_to_the_last_bit():
             assert got == math.ldexp(want, k), (m, p0, width, k)
 
 
+def test_quasimode_residual_far_below_the_mass():
+    # |m| far above width and |p0|: (z(p) - z(p0))^2 / width^2 is about 1e-602
+    # and used to underflow to 0, while R = 0.6 sqrt(3) width^2 / (2 m) is normal
+    width, m = 0.25, 1e300
+    got = quasimode_residual(ShellParams(1.0, m), 0.0, width)
+    want = 0.6 * math.sqrt(3.0) * width * width / (2.0 * m)
+    assert abs(got - want) <= 1e-10 * want
+
+
 def test_quasimode_residual_domain():
     par = ShellParams.from_decimal("1", "1")
     with pytest.raises(ValueError):

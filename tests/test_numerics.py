@@ -420,12 +420,12 @@ def test_quadratures_raise_when_levels_run_out(monkeypatch):
     # x^-0.9 integrates to 10; the last level is off by 2e-4, far above rel_tol
     with pytest.raises(RuntimeError):
         tanh_sinh(lambda x: x ** -0.9, 0.0, 1.0)
+    monkeypatch.setattr(numerics, "BESSEL_TARGET_TOL", -1.0)  # an unreachable target
     with pytest.raises(RuntimeError):
-        _k01_trapezoid(1.0, np.array([1.0]), -1.0)
+        _k01_trapezoid(1.0, np.array([1.0]))
     with pytest.raises(RuntimeError):  # the bent contour
-        _k01_trapezoid(cmath.rect(1.0, 1.5), np.array([1.0]), -1.0)
-    # an unreachable target through the engine, from a batch cut into several blocks
-    monkeypatch.setattr(numerics, "BESSEL_TARGET_TOL", -1.0)
+        _k01_trapezoid(cmath.rect(1.0, 1.5), np.array([1.0]))
+    # through the engine, from a batch cut into several blocks
     many_bands = np.geomspace(1e-30, 29.0, 64)
     assert len(list(_blocks(many_bands))) > 1
     with pytest.raises(RuntimeError):

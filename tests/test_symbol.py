@@ -19,7 +19,6 @@ from diracshell.symbol import (
     critical_momenta,
     default_anchor,
     dispersion_function,
-    hybrid_grid,
     limit_im_table,
     limit_sup_table,
     reference_symbol,
@@ -295,23 +294,12 @@ def test_critical_momenta_sign_and_window():
 # ----------------------------------------------------------------------------
 
 def test_hybrid_grid_shape_and_coverage():
-    grid = hybrid_grid()
+    grid = symbol._SUP_GRID
     assert grid.size == 4001
     assert grid[0] == -100.0 and grid[-1] == 100.0
     assert np.all(np.diff(grid) > 0.0)  # sorted, no duplicates
     pos = grid[grid > 0.0]
     assert pos.min() < 5e-3  # geometric ladder reaches small momenta
-    custom = hybrid_grid(-5.0, 5.0, 801)
-    assert custom.size == 801 and custom[0] == -5.0 and custom[-1] == 5.0
-    one_sided = hybrid_grid(1.0, 2.0, 11)
-    assert np.allclose(one_sided, np.linspace(1.0, 2.0, 11))
-
-
-def test_hybrid_grid_validation():
-    with pytest.raises(ValueError):
-        hybrid_grid(count=1)
-    with pytest.raises(ValueError):
-        hybrid_grid(2.0, 2.0, 100)
 
 
 def test_limit_sup_table_decays_linearly_in_y():
@@ -324,32 +312,27 @@ def test_limit_sup_table_decays_linearly_in_y():
 
 def test_limit_sup_table_leaves_out_critical_cells():
     # eta = 6, m = 2: the critical momenta at x = 2 are exactly +-1.5, and
-    # the largest y of the table is 0.1; no node sits at distance 0.1
+    # the largest y of the table is 0.1
     par = ShellParams.from_decimal("6", "2")
-    cases = (
-        # +-1.5 are nodes, and only they go; +-1 and +-2 are 0.5 away
-        (np.linspace(-3.0, 3.0, 13), [0, 1, 2, 4, 5, 6, 7, 8, 10, 11, 12]),
-        # +-1.56 are 0.06 away and go; +-1.32, 0.18 away, stay
-        (np.linspace(-1.8, 1.8, 16), [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15]),
-    )
-    for grid, kept in cases:
-        rows = limit_sup_table(par, 2.0, p_grid=grid)
-        for y, value in rows:
-            inv = boundary_symbol_inverse(par, grid[kept], 2.0 + 1j * y)
-            assert abs(value - y * np.max(inv.max_abs())) <= 1e-15 * value
-        assert rows[-1][1] < 0.05 * rows[0][1]
-    with pytest.raises(ValueError, match="within max"):
-        limit_sup_table(par, 2.0, p_grid=[-1.55, 1.45, 1.55])
+    crit = critical_momenta(par, 2.0)
+    assert crit == (-1.5, 1.5)
+    grid = symbol._SUP_GRID
+    near = np.min(np.abs(grid[:, None] - np.array(crit)), axis=1) < 0.1
+    assert np.count_nonzero(near & (grid < 0.0)) and np.count_nonzero(near & (grid > 0.0))
+    rows = limit_sup_table(par, 2.0)
+    for y, value in rows:
+        inv = boundary_symbol_inverse(par, grid[~near], 2.0 + 1j * y)
+        assert abs(value - y * np.max(inv.max_abs())) <= 1e-15 * value
+    assert rows[-1][1] < 0.05 * rows[0][1]
+    # the left-out nodes do not decay: with them the sup would stay near 2.7
+    y = DEFAULT_SUP_Y[-1]
+    assert y * np.max(boundary_symbol_inverse(par, grid[near], 2.0 + 1j * y).max_abs()) > 1.0
 
 
 def test_limit_sup_table_domain():
     par = ShellParams.from_decimal("1", "1")
     with pytest.raises(ValueError):
         limit_sup_table(par, 0.5)  # inside the gap
-    with pytest.raises(ValueError):
-        limit_sup_table(par, 1.0, y_list=(1e-1, 1e-1))  # not decreasing
-    with pytest.raises(ValueError):
-        limit_sup_table(par, 1.0, p_grid=[0.0])  # degenerate grid
 
 
 def test_limit_im_table_has_nontrivial_limit():
