@@ -317,18 +317,19 @@ def suite_greens(params: ShellParams, tols: dict) -> list:
     Fourier pair, and the K1 = -K0' relation."""
     m = params.m
     z = 0.5j * max(1.0, abs(m))
-    residual = 0.0
-    for x in ((1.0, 0.0), (0.7, -0.7), (-0.5, 1.2)):
-        residual = max(residual, pde_residual(m, z, x, 1e-3).max_abs())
+    points = ((1.0, 0.0), (0.7, -0.7), (-0.5, 1.2))
+    residuals = [pde_residual(m, z, x, 1e-3).max_abs() for x in points]
+    residual = max(residuals)
+    # the Richardson pair at (1, 0), whose h = 1e-3 value is residuals[0]
     coarse = pde_residual(m, z, (1.0, 0.0), 2e-3).max_abs()
-    fine = pde_residual(m, z, (1.0, 0.0), 1e-3).max_abs()
+    fine = residuals[0]
     deriv = 0.0
     step = 1e-4
     for x in (0.5, 1.0, 2.0, 5.0):
         slope = (bessel_k(0, x + step) - bessel_k(0, x - step)).real / (2.0 * step)
         k1 = bessel_k(1, x).real
         deriv = max(deriv, abs(k1 + slope) / abs(k1))
-    pair = max(fourier_pair_check(kappa) for kappa in (0.5, 1.0, 2.0))
+    pair = fourier_pair_check((0.5, 1.0, 2.0))
     return [
         _check("pde_residual", residual, tols["PDE_RESIDUAL_TOL"], "<="),
         _check("pde_richardson_ratio", coarse / fine, tols["RICHARDSON_RATIO_BOUNDS"], "in"),

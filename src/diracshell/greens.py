@@ -20,8 +20,9 @@ _kernel_terms, for the point kernel, the singular cell, the offset table
 and the direct sum alike.  The quadrature has two paths that give the same
 sums.  At grid-node targets the kernel depends only on the integer offset
 between nodes, so it is tabulated over the offsets (one Bessel ray on the
-distinct radii) and applied to the whole grid by zero-padded FFT; other
-targets take the direct sum, one kernel value per target-source pair.
+distinct radii and the singular cell's) and applied to the whole grid by
+zero-padded FFT; other targets take the direct sum, one kernel value per
+target-source pair.
 Everything of the node path that does not depend on z (the offset
 geometry, the distinct radii and the source's padded spectra) is built
 once per field, on its first node-path call, and kept with the field,
@@ -98,44 +99,71 @@ def pde_residual(m: float, z: complex, x, h: float) -> Mat2C:
 # K0 Fourier pair
 # ----------------------------------------------------------------------------
 
-def fourier_pair_check(kappa: float) -> float:
+@functools.cache
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Built once per n, on first use rather than at import: importing
+    numpy.polynomial adds about 1.6 MB to the process, which callers that
+    never reach a Gauss-Legendre rule (green_kernel, pde_residual) should
+    not pay."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _fourier_pair_nodes(kappa: float):
+    """Nodes and weights of int_0^{29/kappa} f(x) dx for f = K0(kappa x) cos(p x).
+
+    The head [0, min(2/kappa, pi/20)] absorbs the logarithmic singularity
+    with a 129-node double-exponential rule.  The body up to kappa x = 29 is
+    cut into equal panels of 16-point Gauss-Legendre, each at most
+    min(4/kappa, pi/10) long: one period of the fastest cosine, cos(20 x),
+    and four decay lengths.  The panels are equal so that the last one ends
+    at kappa x = 29 exactly, inside the Bessel engine's range."""
+    head = min(2.0 / kappa, math.pi / 20.0)
+    x_top = 29.0 / kappa
+    head_x, head_w = _ts_nodes(0.0, head, np.arange(-64, 65) / 16)
+    n_panel = math.ceil((x_top - head) / min(4.0 / kappa, math.pi / 10.0))
+    half = 0.5 * (x_top - head) / n_panel
+    mids = head + half * (2.0 * np.arange(n_panel) + 1.0)
+    t, w = _gauss_legendre(16)
+    body_x = (mids[:, None] + half * t).ravel()
+    body_w = np.tile(half * w, n_panel)
+    return np.concatenate([head_x, body_x]), np.concatenate([head_w / 16, body_w])
+
+
+def fourier_pair_check(kappa) -> float:
     """Max relative error of the numerical cosine transform of K0(kappa|x|)
     against the closed form sqrt(pi/2) / sqrt(p^2 + kappa^2) over the
-    integer momenta p = -20..20.
+    integer momenta p = -20..20, the largest over every kappa given.
 
-    The integrand is even, so the transform reduces to
+    kappa is one positive number or a non-empty sequence of them;
+    ValueError for anything else, non-finite values included.  The
+    integrand is even, so the transform reduces to
     sqrt(2/pi) int_0^inf K0(kappa x) cos(p x) dx, evaluated once per
-    |p| = 0..20.  The head cell absorbs the logarithmic singularity with a
-    double-exponential rule; the rest is cut into chunks of length
-    min(2/kappa, pi/20): at most half a period of the fastest oscillation
-    and two decay lengths, which 16-point Gauss-Legendre resolves to
+    |p| = 0..20 on the nodes of _fourier_pair_nodes: a tanh-sinh head, then
+    full-period 16-point Gauss-Legendre panels, which resolve cos(20 x) to
     rounding.  Truncating at kappa x = 29 leaves a tail below 1e-13
-    relative.
+    relative, well under the 1e-6 target.  Every kappa's K0 values come
+    from one Bessel ray along the real axis, at the arguments kappa x.
     """
-    kappa = float(kappa)
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
+    kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
+    if kappas.ndim != 1 or not kappas.size or not np.all(np.isfinite(kappas) & (kappas > 0.0)):
+        raise ValueError(
+            f"kappa must be positive and finite, one or a non-empty sequence, got {kappa!r}"
+        )
+    nodes = [_fourier_pair_nodes(float(k)) for k in kappas]
+    k0 = bessel_k01_ray(1.0, np.concatenate([k * x for k, (x, _) in zip(kappas, nodes)]))[0].real
+    cuts = np.cumsum([x.size for x, _ in nodes])[:-1]
     p = np.arange(21.0)
-    step = min(2.0 / kappa, math.pi / 20.0)
-    # truncation at kappa*x = 29 leaves a tail below 1e-13, well under the
-    # 1e-6 target, and keeps every Bessel argument inside the engine's range
-    x_top = 29.0 / kappa
-
-    head_x, head_w = _ts_nodes(0.0, step, np.arange(-64, 65) / 16)
-    head_w = head_w / 16
-
-    n_chunk = int(math.ceil((x_top - step) / step))
-    gl_t, gl_w = np.polynomial.legendre.leggauss(16)
-    mids = step + step * (np.arange(n_chunk) + 0.5)
-    half = 0.5 * step
-    body_x = (mids[:, None] + half * gl_t[None, :]).ravel()
-    body_w = np.broadcast_to(half * gl_w, (n_chunk, 16)).ravel()
-
-    x = np.concatenate([head_x, body_x])
-    w = np.concatenate([head_w, body_w]) * bessel_k01_ray(kappa, x)[0].real
-    transform = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(p, x)) @ w)
-    closed = math.sqrt(math.pi / 2.0) / np.sqrt(p * p + kappa * kappa)
-    return float(np.max(np.abs(transform - closed) / closed))
+    worst = 0.0
+    for k, (x, w), k0_k in zip(kappas, nodes, np.split(k0, cuts)):
+        transform = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(p, x)) @ (w * k0_k))
+        closed = math.sqrt(math.pi / 2.0) / np.sqrt(p * p + k * k)
+        worst = max(worst, float(np.max(np.abs(transform - closed) / closed)))
+    return worst
 
 
 # ----------------------------------------------------------------------------
@@ -227,13 +255,11 @@ def _kernel_terms(a: complex, phase, k0, k1, weight, back=None):
     return c0, c1 * phase.conjugate(), c1 * phase
 
 
-def _singular_cell(a: complex, h: float):
-    """Integral of G_z over the square cell of side h centred at the
-    singularity, as the entries (c0, c1 conj(phase), c1 phase) of
-    _kernel_terms: midpoint rule in angle (16 nodes at the odd multiples of
+def _cell_nodes(h: float):
+    """The singular cell's 16 radii and their weights r dr dtheta, for
+    _cell_sum: midpoint rule in angle (16 nodes at the odd multiples of
     pi/16, kink-free placement), 8-node Gauss-Legendre in radius up to the
-    cell boundary rho(theta) = h / (2 max(|cos theta|, |sin theta|)), so
-    the kernel is summed at polar nodes with weights r dr dtheta.
+    cell boundary rho(theta) = h / (2 max(|cos theta|, |sin theta|)).
 
     The square's symmetry does most of that sum.  rho takes two values,
     at pi/16 and 3 pi/16, each shared by 8 of the 16 angles, so the K_0
@@ -242,15 +268,24 @@ def _singular_cell(a: complex, h: float):
     K_1 entries are exactly 0.  The even K_0 part carries the log
     singularity, which the radial rule sees only through the bounded
     function r K_0."""
-    theta = np.array([1.0, 3.0]) * (math.pi / 16.0)
-    rho = 0.5 * h / np.cos(theta)
-    t, w = np.polynomial.legendre.leggauss(8)
-    r = 0.5 * rho[:, None] * (t[None, :] + 1.0)
+    t, w = _gauss_legendre(8)
+    rho = 0.5 * h / np.cos(np.array([[1.0], [3.0]]) * (math.pi / 16.0))
+    r = 0.5 * rho * (t + 1.0)
     # 8 angles of width 2 pi / 16 each: an angular weight of pi per class
-    weight = r * (0.5 * rho[:, None] * w[None, :]) * math.pi
-    k0, k1 = bessel_k01_ray(a, r)
-    c0 = _kernel_terms(a, 1.0, k0, k1, weight)[0]
-    return np.sum(c0), 0j, 0j
+    return r.ravel(), (r * (0.5 * rho * w) * math.pi).ravel()
+
+
+def _cell_sum(a: complex, weight, k0, k1):
+    """The singular cell as the entries (c0, c1 conj(phase), c1 phase) of
+    _kernel_terms, from K0 and K1 at a r on _cell_nodes' radii r."""
+    return np.sum(_kernel_terms(a, 1.0, k0, k1, weight)[0]), 0j, 0j
+
+
+def _singular_cell(a: complex, h: float):
+    """Integral of G_z over the square cell of side h centred at the
+    singularity, from its own Bessel ray on _cell_nodes' 16 radii."""
+    r, weight = _cell_nodes(h)
+    return _cell_sum(a, weight, *bessel_k01_ray(a, r))
 
 
 def _smooth_length(n: int) -> int:
@@ -297,28 +332,32 @@ class _NodePlan(NamedTuple):
         )
 
 
-def _node_apply(m: float, z: complex, a: complex, f: SampledField, cell) -> np.ndarray:
+def _node_apply(m: float, z: complex, a: complex, f: SampledField) -> np.ndarray:
     """The quadrature of resolvent_apply at every grid node, shape (n1, n2, 2).
 
     At a node target G_z(x_i - y_j) depends only on the integer offset
     i - j, so the kernel is tabulated on the (2 n1 - 1) x (2 n2 - 1)
-    offsets: one Bessel ray over the distinct radii h sqrt(di^2 + dj^2),
-    and the singular cell at offset (0, 0).  The sum over sources is then
+    offsets: the distinct radii h sqrt(di^2 + dj^2), and the singular cell
+    at offset (0, 0).  One Bessel ray takes both, the distinct radii
+    followed by _cell_nodes' 16.  The sum over sources is then
     an aperiodic convolution (Hockney & Eastwood, Computer Simulation Using
     Particles, ch. 6), done by FFT on arrays zero-padded to at least
     2 n - 1 per axis, rounded up to a 2*3*5-smooth length: the circular
     product wraps around only onto entries past the n nodes read off.
 
     Only the z-dependent work happens per call: the Bessel ray, the radial
-    factors on the distinct radii, three table FFTs and two inverse FFTs.
-    The rest comes from the field's _NodePlan.  The three entries are
-    transformed one at a time into the two spinor components' spectra, and
-    the table is freed before the inverse FFTs."""
+    factors on the distinct radii, the cell's sum, three table FFTs and two
+    inverse FFTs.  The rest comes from the field's _NodePlan.  The three
+    entries are transformed one at a time into the two spinor components'
+    spectra, and the table is freed before the inverse FFTs."""
     plan = f._node_plan
     h = f.spacing
     n1, n2 = f.x1.size, f.x2.size
-    k0, k1 = bessel_k01_ray(a, plan.radii)
-    terms = _kernel_terms(a, plan.phase, k0, k1, h * h, plan.back)
+    cell_r, cell_w = _cell_nodes(h)
+    k0, k1 = bessel_k01_ray(a, np.concatenate([plan.radii, cell_r]))
+    n = plan.radii.size
+    cell = _cell_sum(a, cell_w, k0[n:], k1[n:])
+    terms = _kernel_terms(a, plan.phase, k0[:n], k1[:n], h * h, plan.back)
     f1, f2 = plan.spectra
     table = np.zeros(plan.shape, dtype=complex)
     spec = np.empty(plan.shape, dtype=complex)
@@ -385,8 +424,8 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
 
     Node-sum quadrature u(x) = sum_j G_z(x - y_j) f(y_j) h^2 with the cell
     containing the singularity replaced by the polar product rule of
-    _singular_cell (16 radii) times the nearest node value.  Each point takes one of two paths, chosen by its
-    own coordinates:
+    _cell_nodes (16 radii) times the nearest node value.  Each point takes
+    one of two paths, chosen by its own coordinates:
 
     * a point on a grid node reads its value off the whole-grid result of
       _node_apply: one kernel table over the integer offsets, applied by
@@ -394,7 +433,8 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
       differences reproduce f) is meant to be driven.  The field's first
       such call builds and keeps its z-independent part (offset geometry,
       distinct radii, source spectra), so later calls at other z on the
-      same field pay only for the Bessel ray and the FFTs;
+      same field pay only for the Bessel ray, which takes the cell's radii
+      too, and the FFTs;
     * any other point takes the direct sum of _direct_apply, one kernel
       value per source node; inside the sampled rectangle its singular cell
       sits on the nearest node.
@@ -402,9 +442,9 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
     On node points the two agree to rounding (about 1e-15 relative).
 
     x_eval: one point (x1, x2) or an array of shape (k, 2).  Returns the
-    spinor values, shape (2,) or (k, 2).  Warns when an evaluation point
-    lies within one cell of the sampled boundary, where the truncated
-    convolution loses accuracy.
+    spinor values, shape (2,) or (k, 2).  Warns once per call, with their
+    count, when evaluation points lie within one cell of the sampled
+    boundary, where the truncated convolution loses accuracy.
     """
     m = float(m)
     z = complex(z)
@@ -424,20 +464,21 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
         np.minimum(pts[:, 0] - f.x1[0], f.x1[-1] - pts[:, 0]),
         np.minimum(pts[:, 1] - f.x2[0], f.x2[-1] - pts[:, 1]),
     )
-    if np.any(np.abs(edge) < h):
+    near = int(np.count_nonzero(np.abs(edge) < h))
+    if near:
         warnings.warn(
-            "evaluation point within one cell of the sampled boundary; "
-            "the truncated convolution is inaccurate there",
+            f"evaluation point within one cell of the sampled boundary: {near} of "
+            f"{pts.shape[0]} points; the truncated convolution is inaccurate there",
             stacklevel=2,
         )
 
-    cell = _singular_cell(a, h)
     i, on1 = _node_index(f.x1, h, pts[:, 0])
     j, on2 = _node_index(f.x2, h, pts[:, 1])
     on_node = on1 & on2
     out = np.empty((pts.shape[0], 2), dtype=complex)
     if np.any(on_node):
-        out[on_node] = _node_apply(m, z, a, f, cell)[i[on_node], j[on_node]]
+        out[on_node] = _node_apply(m, z, a, f)[i[on_node], j[on_node]]
     if not np.all(on_node):
-        out[~on_node] = _direct_apply(m, z, a, f, cell, pts[~on_node], i[~on_node], j[~on_node])
+        off = ~on_node
+        out[off] = _direct_apply(m, z, a, f, _singular_cell(a, h), pts[off], i[off], j[off])
     return out[0] if single else out

@@ -452,7 +452,7 @@ FROZEN_VERIFY = {
         ('pde_residual', 'pass', '2.9860488333019464e-07'),
         ('pde_richardson_ratio', 'pass', '4.000001293585263'),
         ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
-        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+        ('fourier_pair', 'pass', '4.479028852665656e-14'),
     ),
     ('2', '1'): (
         ('det_closed_vs_direct', 'pass', '5.1745067241029535e-15'),
@@ -467,7 +467,7 @@ FROZEN_VERIFY = {
         ('pde_residual', 'pass', '2.9860488333019464e-07'),
         ('pde_richardson_ratio', 'pass', '4.000001293585263'),
         ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
-        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+        ('fourier_pair', 'pass', '4.479028852665656e-14'),
     ),
     ('-8', '2'): (
         ('det_closed_vs_direct', 'pass', '1.1975552616464741e-15'),
@@ -482,7 +482,7 @@ FROZEN_VERIFY = {
         ('pde_residual', 'pass', '2.5913341531423606e-07'),
         ('pde_richardson_ratio', 'pass', '4.0000041552415855'),
         ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
-        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+        ('fourier_pair', 'pass', '4.479028852665656e-14'),
     ),
     ('0', '1'): (
         ('det_closed_vs_direct', 'not-applicable', 'None'),
@@ -497,7 +497,7 @@ FROZEN_VERIFY = {
         ('pde_residual', 'pass', '2.9860488333019464e-07'),
         ('pde_richardson_ratio', 'pass', '4.000001293585263'),
         ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
-        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+        ('fourier_pair', 'pass', '4.479028852665656e-14'),
     ),
     ('2', '0'): (
         ('det_closed_vs_direct', 'pass', '4.853931722699185e-15'),
@@ -512,9 +512,25 @@ FROZEN_VERIFY = {
         ('pde_residual', 'pass', '3.2360970307621084e-07'),
         ('pde_richardson_ratio', 'pass', '4.00000040729184'),
         ('bessel_derivative', 'pass', '1.6860301514419924e-08'),
-        ('fourier_pair', 'pass', '3.672244588158587e-14'),
+        ('fourier_pair', 'pass', '4.479028852665656e-14'),
     ),
 }
+
+
+def test_greens_suite_computes_each_residual_once(monkeypatch):
+    calls = {"pde_residual": 0, "fourier_pair_check": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    rows = cli.suite_greens(ShellParams.from_decimal("1", "1"), cli._tol_table(None))
+    names = ["pde_residual", "pde_richardson_ratio", "bessel_derivative", "fourier_pair"]
+    assert [row["name"] for row in rows] == names
+    # three residuals at h = 1e-3, the first doubling as the Richardson pair's
+    # fine value, one at h = 2e-3, and all three kappas in one check
+    assert calls == {"pde_residual": 4, "fourier_pair_check": 1}
 
 
 def test_verify_measured_values_frozen(capsys):

@@ -1,5 +1,6 @@
 """Green kernel closed form, PDE residual, Fourier pair, resolvent quadrature."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,44 @@ def test_fourier_pair_domain():
         fourier_pair_check(0.0)
     with pytest.raises(ValueError):
         fourier_pair_check(-2.0)
+    # non-finite, empty and nested kappas, and a bad entry among good ones
+    for kappa in (math.inf, math.nan, -math.inf, (), (1.0, 0.0), (0.5, math.nan), [[1.0]]):
+        with pytest.raises(ValueError):
+            fourier_pair_check(kappa)
+
+
+def test_fourier_pair_of_several_kappas_is_the_largest_single_one():
+    singles = [fourier_pair_check(kappa) for kappa in (0.5, 1.0, 2.0)]
+    assert abs(fourier_pair_check((0.5, 1, 2)) - max(singles)) <= 1e-13
+
+
+def test_fourier_pair_takes_every_kappa_in_one_ray_below_the_engine_range(monkeypatch):
+    seen = []
+    ray = greens.bessel_k01_ray
+
+    def spy(a, r):
+        seen.append(np.array(r))
+        return ray(a, r)
+
+    monkeypatch.setattr(greens, "bessel_k01_ray", spy)
+    fourier_pair_check((0.5, 1.0, 2.0))
+    (w,) = seen
+    # 129 head nodes per kappa, then full-period panels ending at kappa x = 29
+    assert w.size == 3 * 129 + 16 * (185 + 92 + 46)
+    assert 28.9 < w.max() < 29.0
+
+
+@pytest.mark.parametrize("beyond", (0.0, 1.0))
+def test_fourier_pair_flags_a_kernel_fault(monkeypatch, beyond):
+    # K0 off by 1e-9 relative, everywhere or only past the argument 1
+    ray = greens.bessel_k01_ray
+
+    def faulty(a, r):
+        k0, k1 = ray(a, r)
+        return np.where(np.abs(a * np.asarray(r)) > beyond, k0 * (1.0 + 1e-9), k0), k1
+
+    monkeypatch.setattr(greens, "bessel_k01_ray", faulty)
+    assert fourier_pair_check((0.5, 1.0, 2.0)) > 1e-10
 
 
 # ----------------------------------------------------------------------------
@@ -417,6 +456,40 @@ def test_singular_cell_takes_16_radii(monkeypatch):
     greens._singular_cell(branch_sqrt(1.0 - (0.3 + 0.5j) ** 2), 0.02)
     # two distinct cell-boundary distances times 8 radii, not 16 angles times 8
     assert sizes == [16]
+
+
+def test_node_path_takes_the_cell_in_its_one_ray(monkeypatch):
+    sizes = []
+    ray = greens.bessel_k01_ray
+
+    def spy(a, r):
+        sizes.append(np.size(r))
+        return ray(a, r)
+
+    axis = np.linspace(-0.6, 0.6, 31)
+    field = _spinor_field(axis, axis)
+    monkeypatch.setattr(greens, "bessel_k01_ray", spy)
+    resolvent_apply(1.0, 0.3 + 0.5j, field, (axis[15], axis[15]))
+    # the grid's distinct radii followed by the singular cell's 16
+    assert sizes == [field._node_plan.radii.size + 16]
+
+
+def test_whole_grid_call_warns_once_with_its_count():
+    field = _gaussian_field()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        resolvent_apply(1.0, 0.5j, field, _grid_points(field))
+    assert len(caught) == 1
+    # the outer ring of the 31 x 31 nodes
+    message = str(caught[0].message)
+    assert message.startswith("evaluation point within one cell of the sampled boundary: 120 of 961 points")
+
+
+def test_interior_points_do_not_warn():
+    field = _gaussian_field()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resolvent_apply(1.0, 0.5j, field, [(0.0, 0.0), (0.1, -0.23), (field.x1[1], field.x2[-2])])
 
 
 @pytest.mark.filterwarnings("ignore:evaluation point within one cell")
