@@ -113,6 +113,20 @@ def _gauss_legendre(n: int):
     return rule
 
 
+# most nodes one kappa of fourier_pair_check may take: its cosine table then
+# holds 21 x 65,536 entries, about 11 MB, and every kappa >= 0.0226 fits
+_FOURIER_PAIR_NODES = 1 << 16
+
+
+def _fourier_pair_panels(kappa: float):
+    """The head length, the top 29/kappa and the number of body panels of
+    _fourier_pair_nodes; the count is a float, infinite where 29/kappa
+    overflows, so a caller can weigh it before building anything."""
+    head = min(2.0 / kappa, math.pi / 20.0)
+    x_top = 29.0 / kappa
+    return head, x_top, float(np.ceil((x_top - head) / min(4.0 / kappa, math.pi / 10.0)))
+
+
 def _fourier_pair_nodes(kappa: float):
     """Nodes and weights of int_0^{29/kappa} f(x) dx for f = K0(kappa x) cos(p x).
 
@@ -122,10 +136,9 @@ def _fourier_pair_nodes(kappa: float):
     min(4/kappa, pi/10) long: one period of the fastest cosine, cos(20 x),
     and four decay lengths.  The panels are equal so that the last one ends
     at kappa x = 29 exactly, inside the Bessel engine's range."""
-    head = min(2.0 / kappa, math.pi / 20.0)
-    x_top = 29.0 / kappa
+    head, x_top, n_panel = _fourier_pair_panels(kappa)
+    n_panel = int(n_panel)
     head_x, head_w = _ts_nodes(0.0, head, np.arange(-64, 65) / 16)
-    n_panel = math.ceil((x_top - head) / min(4.0 / kappa, math.pi / 10.0))
     half = 0.5 * (x_top - head) / n_panel
     mids = head + half * (2.0 * np.arange(n_panel) + 1.0)
     t, w = _gauss_legendre(16)
@@ -140,8 +153,11 @@ def fourier_pair_check(kappa) -> float:
     integer momenta p = -20..20, the largest over every kappa given.
 
     kappa is one positive number or a non-empty sequence of them;
-    ValueError for anything else, non-finite values included.  The
-    integrand is even, so the transform reduces to
+    ValueError for anything else, non-finite values included.  A kappa
+    whose quadrature would take more than _FOURIER_PAIR_NODES (65,536)
+    nodes, which is every kappa below about 0.0226 (the body takes about
+    92/kappa panels of 16 nodes), is a ValueError too, raised before any
+    array is built.  The integrand is even, so the transform reduces to
     sqrt(2/pi) int_0^inf K0(kappa x) cos(p x) dx, evaluated once per
     |p| = 0..20 on the nodes of _fourier_pair_nodes: a tanh-sinh head, then
     full-period 16-point Gauss-Legendre panels, which resolve cos(20 x) to
@@ -154,6 +170,11 @@ def fourier_pair_check(kappa) -> float:
         raise ValueError(
             f"kappa must be positive and finite, one or a non-empty sequence, got {kappa!r}"
         )
+    for k in kappas:
+        size = 129 + 16 * _fourier_pair_panels(float(k))[2]
+        if not size <= _FOURIER_PAIR_NODES:
+            raise ValueError(f"kappa = {float(k)!r} needs {size:.3g} quadrature nodes, above "
+                             f"the budget of {_FOURIER_PAIR_NODES} (kappa >= 0.0226 fits)")
     nodes = [_fourier_pair_nodes(float(k)) for k in kappas]
     k0 = bessel_k01_ray(1.0, np.concatenate([k * x for k, (x, _) in zip(kappas, nodes)]))[0].real
     cuts = np.cumsum([x.size for x, _ in nodes])[:-1]

@@ -11,22 +11,29 @@ Conventions
 
       K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt,   Re w > 0.
 
-  by one rule: a trapezoid in u on the even integrand along the contour
-  t(u) = u - i theta tanh u, halving its step until it converges.  For
-  real w, and for complex w with |arg w| up to _TRAPEZOID_MAX_ARG,
-  theta = 0 and the contour is the real t axis; off the real axis the
-  integrand then decays only in the strip |Im t| < pi/2 - |arg w|, so the
-  node count grows as that strip narrows.  Nearer the imaginary axis the
-  contour bends, theta = arg w, so that w cosh t is real and positive at
-  infinity and the tail no longer oscillates.  K0 and K1 share one
-  exponential table.  A batch is sorted by |w| once and cut at every power
-  of two of the tail cutoff acosh(1 + _TAIL_DROP/|w|) and again every
-  _BLOCK arguments, so neither a few tiny arguments nor a large batch
-  inflate the tables, and a value does not depend on the order of its
-  batch; each refinement's table is built at most _TABLE radii x nodes at
-  a time.  Arguments below _MIN_ARG are rejected up front.  No
-  special-function library is involved, so the mpmath oracle used in the
-  tests is a genuinely independent check.
+  by one rule: a trapezoid in u on the even integrand along the steepest
+  descent contour cosh t(u) = 1 + e^{-i phi} (cosh u - 1), phi = arg w,
+  halving its step until it converges.  On it w cosh t = w + |w| (cosh u - 1)
+  is real past its value at u = 0, so
+
+      K0(w) = e^{|w| - w} int_0^inf exp(-|w| cosh u) tau(u) du,
+      K1(w) = e^{|w| - w} int_0^inf exp(-|w| cosh u) tau(u) cosh t(u) du,
+      tau(u) = t'(u) = sqrt((cosh u + 1) / (cosh u - 1 + 2 e^{i phi})):
+
+  the exponential table is real for every direction, each node carries the
+  complex weights tau and tau e^{i phi} cosh t = tau (cosh u - 1 + e^{i phi}),
+  and each argument the factor e^{|w| - w}, K1's times e^{-i phi}.  The
+  integrand decays in a strip of half-width at least 1.14 around the real
+  u axis for every |phi| < pi/2, so the node count does not grow toward the
+  imaginary axis.  On the real axis phi = 0, tau = 1 and the factor is 1.
+  A batch is sorted by |w| once and cut at every power of two of the tail
+  cutoff acosh(1 + _TAIL_DROP/|w|) and again every _BLOCK arguments, so
+  neither a few tiny arguments nor a large batch inflate the tables, and a
+  value does not depend on the order of its batch; each refinement's table
+  is built at most _TABLE radii x nodes at a time.  Arguments below
+  _MIN_ARG are rejected up front.  No special-function library is
+  involved, so the mpmath oracle used in the tests is a genuinely
+  independent check.
 * tanh_sinh, the trapezoid rule after x = tanh(pi/2 sinh t), and the K0/K1
   trapezoid refine through one driver, _halve: one step-halving loop, one
   stop test and one RuntimeError when the levels run out.
@@ -170,59 +177,78 @@ _TABLE = 1 << 20  # entries, radii x nodes, of one refinement table of the trape
 def _k01_trapezoid(a: float | complex, r: np.ndarray):
     """K0(w) and K1(w) at w = a r for positive radii r, sharing one table.
 
-    Trapezoid rule in u on the even integrand exp(-w cosh t) cosh(nu t) t'(u)
-    along t(u) = u - i theta tanh u, cut at the block's tail cutoff; the even
-    reflection kills the odd Euler-Maclaurin terms at u = 0 and the
-    double-exponential tail kills them at the cutoff, so halving the step
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  Up
-    to |arg a| = _TRAPEZOID_MAX_ARG, theta = 0: the contour is the real
-    axis, the cutoff is taken at the smallest Re w, and the node count grows
-    like one over the width pi/2 - |arg a| of the strip where the integrand
-    decays.  Past it theta = arg a, so w cosh t is real and positive at
-    infinity; Re(w cosh t(u)) - Re w >= |w| (cosh u - 1) there, so the
-    cutoff is taken at the smallest |w|, and t'(u) = 1 - i theta sech^2 u.
-    _halve refines the (2, radii) batch of 16-step sums, each level's table
-    built _TABLE entries at a time; RuntimeError if 14 halvings miss
+    Trapezoid rule in u on the even integrand along the steepest descent
+    contour cosh t(u) = 1 + e^{-i phi} (cosh u - 1), phi = arg a, where
+    exp(-w cosh t) = e^{|w| - w} exp(-|w| cosh u): the table exp(-|w| cosh u)
+    is real, each node carries tau = t'(u) and tau e^{i phi} cosh t(u), and
+    each radius the factor e^{|w| - w}, K1's times e^{-i phi}.  The branch
+    point of tau nearest the real u axis, at cosh u = 1 - 2 e^{i phi}, stays
+    at least 1.14 away from it for |phi| < pi/2, and exp(-|w| cosh u) decays
+    for |Im u| < pi/2, so the trapezoid converges geometrically on a strip
+    of half-width at least 1.14 for every direction (Trefethen & Weideman,
+    SIAM Rev. 56, 2014); the even reflection kills the odd Euler-Maclaurin
+    terms at u = 0 and the double-exponential tail kills them at the
+    cutoff, taken at the smallest |w|.  For real a, phi = 0, tau = 1 and
+    cosh t = cosh u: the table's in-place products and row sums alone give
+    the values.  Otherwise one einsum per table forms the four real sums
+    against the weights' real and imaginary parts, each row on its own, so
+    a value does not depend on how many rows share its table.  _halve
+    refines the (2, radii) batch of 16-step sums, each level's table built
+    _TABLE entries at a time; RuntimeError if 14 halvings miss
     BESSEL_TARGET_TOL.
     """
-    w = a * r
-    theta = cmath.phase(a)
-    bent = abs(theta) > _TRAPEZOID_MAX_ARG
-    u_max = _tail_cutoff(float(np.min(np.abs(w) if bent else w.real)))
+    v = abs(a) * r  # |w|
+    phi = cmath.phase(a)
+    u_max = _tail_cutoff(float(np.min(v)))
     h, n = u_max / 16, 16  # level 0
     def _trap(rows):  # level 0's trapezoid sums of a table's rows
         return h * (0.5 * (rows[:, 0] + rows[:, -1]) + rows[:, 1:-1].sum(axis=1))
 
-    def _nodes(u):  # c = cosh t(u), and t'(u) on the bent contour (None on the straight one)
-        if not bent:
-            return np.cosh(u), None
-        tanh = np.tanh(u)
-        return np.cosh(u - 1j * theta * tanh), 1.0 - 1j * theta * (1.0 - tanh * tanh)
+    turn = cmath.exp(1j * phi)
+    branch = 1.0 - 2.0 * turn  # tau's branch point, in cosh u
 
-    def _table(v, c, dt):  # exp(-v c) t'(u) for arguments v, built in place
-        e = np.outer(v, -c)
+    def _weights(c):  # rows Re tau, Im tau, Re tau k, Im tau k at cosh u = c
+        # k = e^{i phi} cosh t = c - 1 + e^{i phi}; K1's factor e^{-i phi} comes
+        # last.  None on the real axis, where tau = 1 and k = c
+        if phi == 0.0:
+            return None
+        tau = np.sqrt((c + 1.0) / (c - branch))
+        tau_k = tau * (c - (1.0 - turn))
+        return np.array([tau.real, tau.imag, tau_k.real, tau_k.imag])
+
+    def _table(v, c):  # exp(-v c) for arguments v, built in place
+        e = np.multiply.outer(v, -c)
         np.exp(e, out=e)
-        if dt is not None:
-            e *= dt
         return e
 
-    def level(u):  # the plain sums of K0's and K1's integrands over the nodes u
-        c, dt = _nodes(u)
-        rows = max(1, _TABLE // u.size)
-        s = np.empty((2, w.size), dtype=w.dtype)
-        for lo in range(0, w.size, rows):
-            e = _table(w[lo:lo + rows], c, dt)
-            s[0, lo:lo + rows] = np.sum(e, axis=1)
+    def _sums(e, c, g):  # K0's and K1's plain sums over a table's nodes, (2, rows)
+        if g is None:
+            s0 = np.sum(e, axis=1)
             e *= c
-            s[1, lo:lo + rows] = np.sum(e, axis=1)
+            return s0, np.sum(e, axis=1)
+        return np.einsum("ij,kj->ik", e, g).view(complex).T
+
+    def level(u):  # the plain sums of K0's and K1's integrands over the nodes u
+        c = np.cosh(u)
+        g = _weights(c)
+        rows = max(1, _TABLE // u.size)
+        s = np.empty((2, v.size), dtype=float if g is None else complex)
+        for lo in range(0, v.size, rows):
+            s[:, lo:lo + rows] = _sums(_table(v[lo:lo + rows], c), c, g)
         return s
 
     with np.errstate(under="ignore"):
-        c, dt = _nodes(np.linspace(0.0, u_max, n + 1))
-        e = _table(w, c, dt)
-        k0 = _trap(e)
-        e *= c
-        return _halve(np.stack([k0, _trap(e)]), h, n, level, BESSEL_TARGET_TOL, 14)
+        c = np.cosh(np.linspace(0.0, u_max, n + 1))
+        e = _table(v, c)
+        g = _weights(c)
+        if g is None:
+            k0 = _trap(e)
+            e *= c
+            return _halve(np.stack([k0, _trap(e)]), h, n, level, BESSEL_TARGET_TOL, 14)
+        g[:, ::n] *= 0.5  # the end nodes 0 and n
+        total = _halve(h * _sums(e, c, g), h, n, level, BESSEL_TARGET_TOL, 14)
+        total[1] /= turn
+        return total * np.exp((abs(a) - a) * r)
 
 
 def _blocks(x: np.ndarray):
@@ -243,15 +269,9 @@ def _blocks(x: np.ndarray):
             yield slice(start, min(start + _BLOCK, hi))
 
 
-# |arg a| above which the trapezoid bends its contour.  Past it the straight
-# contour's strip pi/2 - |arg a| is narrower than 0.22 and its node count
-# keeps doubling; below it the real cosh nodes are cheaper to set up than
-# the bent contour's complex ones, which one-radius rays notice
-_TRAPEZOID_MAX_ARG = 1.35
 # smallest |w| the engine takes.  The tail cutoff keeps cosh finite for a
-# scale down to about 4.5e-306, and the scale is Re w >= 0.22 |w| on the
-# straight contour, |w| on the bent one.  1e-290 leaves a wide margin
-# above both and is the floor that README documents for accepted input
+# smallest |w| down to about 4.5e-306; 1e-290 leaves a wide margin above
+# it and is the floor that README documents for accepted input
 _MIN_ARG = 1e-290
 
 
@@ -260,10 +280,10 @@ def bessel_k01_ray(a: complex, r):
 
     Batch companion of bessel_k, and the one owner of the memory bound: the
     radii are sorted once, the sorted run is cut by _blocks, and each block
-    takes the trapezoid, on the real t axis for |arg a| up to
-    _TRAPEZOID_MAX_ARG and on the bent contour nearer the imaginary axis.
-    Each block has the tail cutoff of its own smallest radius, so a radius's
-    value depends on its block alone, not on the order of the batch.
+    takes the trapezoid on the steepest descent contour of its direction,
+    with a real exponential table for every direction.  Each block has the
+    tail cutoff of its own smallest radius, so a radius's value depends on
+    its block alone, not on the order of the batch.
     Returns the pair (k0, k1) of complex arrays shaped like r; ValueError,
     before any work, for a non-finite a or radius or for |a| r < _MIN_ARG,
     RuntimeError when a block misses BESSEL_TARGET_TOL.
@@ -283,11 +303,10 @@ def bessel_k01_ray(a: complex, r):
     if x.size and x[-1] > BESSEL_MAX_ARG:
         msg = f"bessel_k accuracy degrades for |w| > {BESSEL_MAX_ARG:g} (|w| = {x[-1]:.3g})"
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    scale = a.real if a.imag == 0.0 else a
     k0 = np.empty(r.size, dtype=complex)
     k1 = np.empty(r.size, dtype=complex)
     for sel in _blocks(x):
-        k0[order[sel]], k1[order[sel]] = _k01_trapezoid(scale, run[sel])
+        k0[order[sel]], k1[order[sel]] = _k01_trapezoid(a, run[sel])
     return k0.reshape(r.shape), k1.reshape(r.shape)
 
 

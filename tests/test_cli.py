@@ -262,9 +262,9 @@ FROZEN_DOCUMENTS = {
     ),
     'greens_complex': (
         '{"schema":"dirac-shell/1","m":1,"z":[0.29999999999999999,0.5],"x":[0.5,-0.25]'
-        ',"kernel":{"a11":[0.14940868656805364,0.080813551123856034],"a12":[-0.1082971'
+        ',"kernel":{"a11":[0.14940868656805359,0.080813551123856006],"a12":[-0.1082971'
         '5117334154,0.19362258155137702],"a21":[0.089919774537096681,0.202811269869499'
-        '43],"a22":[-0.092486228999366704,0.049521516920777657]}}'
+        '43],"a22":[-0.092486228999366676,0.049521516920777636]}}'
     ),
     # Re a21 is a product with a zero plus the mass term's zero: it prints 0, not -0
     'greens_signed_zero': (

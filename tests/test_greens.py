@@ -181,6 +181,21 @@ def test_fourier_pair_domain():
             fourier_pair_check(kappa)
 
 
+def test_fourier_pair_rejects_a_kappa_beyond_its_node_budget(monkeypatch):
+    # the body takes about 92/kappa panels of 16 nodes: 1e-12 would need
+    # 1.5e15 nodes and 1e-300 1.5e303, and 5e-324 overflows the count; a
+    # small kappa among good ones is refused before any of them is built
+    built = []
+    nodes = greens._fourier_pair_nodes
+    monkeypatch.setattr(greens, "_fourier_pair_nodes", lambda k: built.append(k) or nodes(k))
+    for kappa in (1e-300, 1e-12, 5e-324, (1.0, 1e-12), 0.0225):
+        with pytest.raises(ValueError, match="kappa = .* budget of 65536"):
+            fourier_pair_check(kappa)
+    assert built == []
+    # the smallest kappa the docstring says fits
+    assert fourier_pair_check(0.0226) <= FOURIER_PAIR_TOL and built == [0.0226]
+
+
 def test_fourier_pair_of_several_kappas_is_the_largest_single_one():
     singles = [fourier_pair_check(kappa) for kappa in (0.5, 1.0, 2.0)]
     assert abs(fourier_pair_check((0.5, 1, 2)) - max(singles)) <= 1e-13
