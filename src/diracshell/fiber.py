@@ -152,7 +152,10 @@ def fiber_eigenvalue(params: ShellParams, p: float):
     return 0.5 * (lo + hi)
 
 
-def kernel_at_zero_scan(params: ShellParams, p_grid=None) -> float:
+_ZERO_ENERGY_GRID = np.linspace(-50.0, 50.0, 2001)  # the momenta of the z = 0 scans
+
+
+def kernel_at_zero_scan(params: ShellParams, p_grid=_ZERO_ENERGY_GRID) -> float:
     """max over the momentum grid of |matching determinant at z = 0|.
 
     At critical coupling this is the flat-band certificate: the determinant
@@ -165,8 +168,7 @@ def kernel_at_zero_scan(params: ShellParams, p_grid=None) -> float:
         )
     if params.m == 0.0:
         raise ValueError("m = 0: z = 0 is the edge of the fiber gap at p = 0")
-    grid = np.linspace(-50.0, 50.0, 2001) if p_grid is None else p_grid
-    return float(np.max(np.abs(matching_determinant(params, grid, 0.0))))
+    return float(np.max(np.abs(matching_determinant(params, p_grid, 0.0))))
 
 
 def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:

@@ -162,8 +162,8 @@ _TAIL_DROP = 55.0  # the integrand's tail is cut where it has fallen by exp(-_TA
 
 
 def _tail_cutoff(scale: float) -> float:
-    """Smallest U with scale*(cosh U - 1) >= _TAIL_DROP + U (monotone, so a
-    couple of fixed-point passes suffice)."""
+    """Three fixed-point passes, from below, toward the smallest U with
+    scale*(cosh U - 1) = _TAIL_DROP + U + log(1 + U); the map is monotone."""
     u = math.acosh(1.0 + _TAIL_DROP / scale)
     for _ in range(3):
         u = math.acosh(1.0 + (_TAIL_DROP + u + math.log1p(u)) / scale)
@@ -322,10 +322,7 @@ def bessel_k(order: int, w: complex) -> complex:
         raise ValueError(f"order must be 0 or 1, got {order!r}")
     w = complex(w)
     k0, k1 = bessel_k01_ray(w, np.array([1.0]))
-    out = (k0 if order == 0 else k1)[0]
-    if w.imag == 0.0:
-        return complex(out.real, 0.0)
-    return complex(out)
+    return complex((k0 if order == 0 else k1)[0])
 
 
 # ============================================================================

@@ -164,31 +164,23 @@ def dispersion_momentum(params: ShellParams, z: float):
 
 def full_spectrum(params: ShellParams) -> SpectrumDescription:
     """Assemble the spectrum for the given coupling and mass."""
-    m_edge = float(abs(params.m_exact))
+    m_edge = abs(params.m)
     if m_edge == 0.0:
-        return SpectrumDescription(
-            params, (SpectralComponent("full-line", None, "continuous"),)
+        parts = (SpectralComponent("full-line", None, "continuous"),)
+    elif params.critical:
+        parts = (
+            SpectralComponent("ray-left", -m_edge, "continuous"),
+            SpectralComponent("point", 0.0, "eigenvalue", "infinite"),
+            SpectralComponent("ray-right", m_edge, "continuous"),
         )
-    if params.critical:
-        return SpectrumDescription(
-            params,
-            (
-                SpectralComponent("ray-left", -m_edge, "continuous"),
-                SpectralComponent("point", 0.0, "eigenvalue", "infinite"),
-                SpectralComponent("ray-right", m_edge, "continuous"),
-            ),
+    else:
+        side = params.band_sign  # 0 only at eta = 0, where the edge is m_edge
+        edge = band_edge(params)
+        parts = (
+            SpectralComponent("ray-left", -edge if side < 0 else -m_edge, "continuous"),
+            SpectralComponent("ray-right", edge if side > 0 else m_edge, "continuous"),
         )
-    side = params.band_sign  # 0 only at eta = 0, where the edge is m_edge
-    edge = band_edge(params)
-    left = -edge if side < 0 else -m_edge
-    right = edge if side > 0 else m_edge
-    return SpectrumDescription(
-        params,
-        (
-            SpectralComponent("ray-left", left, "continuous"),
-            SpectralComponent("ray-right", right, "continuous"),
-        ),
-    )
+    return SpectrumDescription(params, parts)
 
 
 def symmetry_partner(params: ShellParams) -> ShellParams:
@@ -201,7 +193,7 @@ def symmetry_partner(params: ShellParams) -> ShellParams:
     if params.eta == 0.0:
         raise ValueError("eta = 0 has no partner coupling")
     partner = Fraction(-4) / params.eta_exact
-    return ShellParams(float(partner), params.m, partner, params.m_exact)
+    return ShellParams(partner, params.m_exact)
 
 
 def classify_point(params: ShellParams, z: complex) -> str:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -91,37 +91,34 @@ class SingularSymbolError(ValueError):
 
 @dataclass(frozen=True)
 class ShellParams:
-    """Shell strength eta and mass m.
+    """Shell strength eta and mass m, each held once as its exact value:
+    text parsed exactly by _exact, or a number's exact (binary) value.
 
-    Criticality (eta equal to +2 or -2, where the in-gap band degenerates
-    into a flat band at zero energy) is decided by exact comparison of the
-    parsed input value, never by a floating tolerance: build instances with
-    from_decimal when the input arrives as text so that e.g. "1.9999999"
-    stays non-critical while "2.0" is critical.  The exact rational fields
-    also feed the spectrum-set arithmetic, which keeps band edges of a
-    coupling and of its -4/eta partner bit-identical.
+    Equality and hashing read the exact values; the floats eta and m are
+    their roundings.  Criticality (eta = +2 or -2, where the in-gap band
+    degenerates into a flat band at zero energy) is an exact comparison, so
+    "1.9999999" stays non-critical while "2.0" is critical.  The exact values
+    also feed the band arithmetic, which keeps band edges of a coupling and
+    of its -4/eta partner bit-identical.
     """
 
-    eta: float
-    m: float
-    eta_exact: Fraction = field(default=None, repr=False, compare=False)
-    m_exact: Fraction = field(default=None, repr=False, compare=False)
+    eta_exact: Fraction
+    m_exact: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "m", float(self.m))
-        if self.eta_exact is None:
-            object.__setattr__(self, "eta_exact", Fraction(self.eta))
-        if self.m_exact is None:
-            object.__setattr__(self, "m_exact", Fraction(self.m))
+        eta, m = (_exact(v) if isinstance(v, str) else Fraction(v)
+                  for v in (self.eta_exact, self.m_exact))
+        object.__setattr__(self, "eta_exact", eta)
+        object.__setattr__(self, "m_exact", m)
+        # plain attributes, set here so that an overflowing value fails now
+        object.__setattr__(self, "eta", float(eta))
+        object.__setattr__(self, "m", float(m))
 
     @classmethod
     def from_decimal(cls, eta: str, m: str) -> "ShellParams":
         """Build from exact strings: decimals, scientific notation, "p/q".
         A decimal exponent beyond +-4300 is a ValueError."""
-        eta_exact = _exact(eta)
-        m_exact = _exact(m)
-        return cls(float(eta_exact), float(m_exact), eta_exact, m_exact)
+        return cls(_exact(eta), _exact(m))
 
     @property
     def critical(self) -> bool:

@@ -118,17 +118,16 @@ def _rays_taken(monkeypatch):
     return taken
 
 
-# the four corners of criterion 9's region of z at m = 1, then |arg a| at
-# 1.34 and 1.36, where the real t axis's strip pi/2 - |arg a| narrows past
-# 0.22, and next to the imaginary axis, on both sides of the real axis, and
-# z = 3 + 1e-300i, where arg a rounds to -pi/2
+# the four corners of criterion 9's region of z at m = 1 and z = 3 + 1e-300i,
+# where arg a rounds to -pi/2; then |arg a| at 1.34, 1.36 and 1.5703, on both
+# sides of the real axis, as the direction of a nears the imaginary axis
 @pytest.mark.parametrize("a", [
     *(pytest.param(branch_sqrt(1.0 - z * z), id=f"z={z}")
       for z in (0.8 + 0.2j, 0.8 + 1j, -0.8 + 0.2j, -0.8 + 1j, 3 + 1e-300j)),
     *(pytest.param(cmath.rect(1.0, s * phi), id=f"arg a={s * phi:.5g}")
       for s in (1, -1) for phi in (1.34, 1.36, 1.5703)),
 ])
-def test_bessel_rays_meet_the_oracle_on_both_sides_of_the_switch(monkeypatch, a):
+def test_bessel_rays_meet_the_oracle_up_to_the_imaginary_axis(monkeypatch, a):
     taken = _rays_taken(monkeypatch)
     r = np.geomspace(1e-3, 25.0, 20) / abs(a)
     k0, k1 = bessel_k01_ray(a, r)
@@ -388,7 +387,7 @@ def test_bessel_complex_ray_memory_is_bounded_by_blocks():
 
 
 @pytest.mark.parametrize("phi", (1.34, 1.36, 1.5703))
-def test_bessel_memory_next_to_the_switch_is_bounded(phi):
+def test_bessel_memory_next_to_the_imaginary_axis_is_bounded(phi):
     x = np.geomspace(1e-6, 27.0, 8192)
     np.random.default_rng(3).shuffle(x)
     tracemalloc.start()

@@ -1,4 +1,5 @@
 """Boundary symbol: closed forms, inverses, anchor split, limit tables."""
+import argparse
 import cmath
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diracshell import symbol
+from diracshell import cli, symbol
 from diracshell.numerics import Mat2C, branch_sqrt
 from diracshell.symbol import (
     DEFAULT_IM_Y,
@@ -56,6 +57,51 @@ def test_params_exact_fields_from_decimal():
     assert par.eta_exact == Fraction(1, 10)
     assert par.m_exact == Fraction(-5, 2)
     assert par.eta == 0.1 and par.m == -2.5
+
+
+def test_params_compare_and_hash_by_exact_value():
+    crit = ShellParams.from_decimal("2", "1")
+    near = ShellParams.from_decimal("2.0000000000000001", "1")
+    assert crit.eta == near.eta and crit.critical and not near.critical
+    assert crit != near and hash(crit) != hash(near)
+    for same in (ShellParams(2.0, 1), ShellParams("2", "1.0"), ShellParams(Fraction(4, 2), 1.0)):
+        assert same == crit and hash(same) == hash(crit)
+
+
+@pytest.mark.parametrize("value, exact", [
+    (1.0, Fraction(1)),
+    (0.1, Fraction(3602879701896397, 36028797018963968)),  # the float's binary value
+    (3, Fraction(3)),
+    (Fraction(-4, 3), Fraction(-4, 3)),
+])
+def test_params_hold_a_number_at_its_exact_value(value, exact):
+    par = ShellParams(value, value)
+    assert type(par.eta_exact) is Fraction and type(par.m_exact) is Fraction
+    assert par.eta_exact == par.m_exact == exact
+    assert type(par.eta) is float and par.eta == par.m == float(exact)
+
+
+def test_params_overflow_fails_at_construction():
+    for args in (("1e400", "1"), (1, 10**400), (Fraction(-10**400, 3), 1)):
+        with pytest.raises(OverflowError):
+            ShellParams(*args)
+
+
+def test_every_text_path_refuses_a_huge_exponent_before_parsing(monkeypatch):
+    def plain(value, *rest):  # Fraction of a text with an exponent builds 10**exponent
+        assert not (isinstance(value, str) and "e" in value.lower()), value
+        return Fraction(value, *rest)
+
+    monkeypatch.setattr(symbol, "Fraction", plain)
+    for text in ("1e20000000", "-1e-20000000", "2E+4301", "0e-99999999999999999999"):
+        for make in (lambda: ShellParams.from_decimal(text, "1"),
+                     lambda: ShellParams.from_decimal("1", text),
+                     lambda: ShellParams(text, 1),
+                     lambda: ShellParams(1.0, text)):
+            with pytest.raises(ValueError, match=r"beyond \+-4300"):
+                make()
+        with pytest.raises(argparse.ArgumentTypeError, match=r"beyond \+-4300"):
+            cli._exact_float(text)  # greens-eval --m
 
 
 def test_symbol_functions_reject_the_branch_cut():
