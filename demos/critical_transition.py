@@ -18,10 +18,10 @@ for eta in (1.7, 1.9, 1.99, 2.0, 2.01, 2.1, 2.3, -2.0, -2.1):
     print(f"{eta:>6.2f}  {dets.max():>12.3e}  {dets.min():>12.3e}")
 
 print()
-print("the critical scan helper reports the sup directly:")
+print("the critical scan helper reports the sup over the same grid directly:")
 for eta in (2.0, -2.0):
     for m in (0.5, 1.0):
-        top = kernel_at_zero_scan(ShellParams(eta, m), GRID)
+        top = kernel_at_zero_scan(ShellParams(eta, m))
         print(f"  eta = {eta:+.0f}, m = {m:g}:  sup = {top:.3e}")
 
 print()

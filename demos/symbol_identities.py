@@ -45,7 +45,8 @@ for (y, a), (_, b) in zip(edge, inner):
 print("both columns vanish: the inverse grows strictly slower than 1/y")
 
 print()
-print("max |Im diagonal| of the inverse on [-1, 1] at x = 2 m (inside the band)")
-for y, val in limit_im_table(params, 2.0, (-1.0, 1.0)):
+print("max |Im| of the inverse over |p| <= sqrt(3)/2 at x = 2 m (inside the band),")
+print("the centred half of the oscillation window |p| < sqrt(x^2 - m^2)")
+for y, val in limit_im_table(params, 2.0):
     print(f"  y = {y:8.0e}  lim = {val:.9f}")
 print("the column settles: the boundary value exists and is genuinely complex")

@@ -199,9 +199,9 @@ def _tol_table(overrides) -> dict:
         if not isinstance(table[key], float):
             raise UsageError(f"{key} is not a scalar tolerance and cannot be overridden")
         try:
-            table[key] = float(text)
-        except ValueError as exc:
-            raise UsageError(f"cannot parse override value in {item!r}") from exc
+            table[key] = _exact_float(text)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"cannot parse override value in {item!r}: {exc}") from None
     return table
 
 
@@ -315,8 +315,7 @@ def suite_limits(params: ShellParams, tols: dict) -> list:
     floor = math.inf
     cauchy = 0.0
     for x in (2.0 * m, -2.0 * m):
-        half = 0.5 * math.sqrt(x * x - m * m)
-        rows = limit_im_table(params, x, (-half, half))
+        rows = limit_im_table(params, x)
         floor = min(floor, rows[-1][1])
         cauchy = max(cauchy, abs(rows[-1][1] - rows[-2][1]))
     return [
@@ -343,7 +342,7 @@ def suite_greens(params: ShellParams, tols: dict) -> list:
         slope = (bessel_k(0, x + step) - bessel_k(0, x - step)).real / (2.0 * step)
         k1 = bessel_k(1, x).real
         deriv = max(deriv, abs(k1 + slope) / abs(k1))
-    pair = fourier_pair_check((0.5, 1.0, 2.0))
+    pair = fourier_pair_check()
     return [
         _check("pde_residual", residual, tols["PDE_RESIDUAL_TOL"], "<="),
         _check("pde_richardson_ratio", coarse / fine, tols["RICHARDSON_RATIO_BOUNDS"], "in"),

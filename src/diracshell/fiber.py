@@ -114,10 +114,13 @@ def fiber_eigenvalue(params: ShellParams, p: float):
     end margin FIBER_GAP_MARGIN (kappa degenerates at the endpoints), then
     bisection to FIBER_BISECT_TOL or to adjacent floats, whichever comes
     first.  Where the band edge ratio lies inside that margin, the scan
-    ends halfway from it to the gap edge.  Undefined for eta in {0, +2, -2}.
+    ends halfway from it to the gap edge.  Undefined for eta in {0, +2, -2};
+    ValueError for a non-finite p.
     """
     params.require_band()
     p = float(p)
+    if not math.isfinite(p):
+        raise ValueError(f"momentum must be finite, got {p!r}")
     half = math.hypot(p, params.m)
     if half == 0.0:
         raise ValueError("empty fiber gap (m = 0 and p = 0)")
@@ -155,12 +158,13 @@ def fiber_eigenvalue(params: ShellParams, p: float):
 _ZERO_ENERGY_GRID = np.linspace(-50.0, 50.0, 2001)  # the momenta of the z = 0 scans
 
 
-def kernel_at_zero_scan(params: ShellParams, p_grid=_ZERO_ENERGY_GRID) -> float:
-    """max over the momentum grid of |matching determinant at z = 0|.
+def kernel_at_zero_scan(params: ShellParams) -> float:
+    """max over _ZERO_ENERGY_GRID, 2001 momenta evenly spaced on [-50, 50],
+    of |matching determinant at z = 0|.
 
     At critical coupling this is the flat-band certificate: the determinant
     vanishes for every p.  Requires critical parameters (and m != 0, so that
-    z = 0 lies inside every fiber gap); default grid covers |p| <= 50.
+    z = 0 lies inside every fiber gap).
     """
     if not params.critical:
         raise ValueError(
@@ -168,7 +172,7 @@ def kernel_at_zero_scan(params: ShellParams, p_grid=_ZERO_ENERGY_GRID) -> float:
         )
     if params.m == 0.0:
         raise ValueError("m = 0: z = 0 is the edge of the fiber gap at p = 0")
-    return float(np.max(np.abs(matching_determinant(params, p_grid, 0.0))))
+    return float(np.max(np.abs(matching_determinant(params, _ZERO_ENERGY_GRID, 0.0))))
 
 
 def quasimode_residual(params: ShellParams, p0: float, width: float) -> float:

@@ -298,11 +298,12 @@ def critical_momenta(params: ShellParams, x: float):
     Returns the ordered pair, or None when no such momenta exist (critical
     or zero coupling, or sign condition x eta (eta^2-4) > 0 violated).  The
     sign and the radicand are exact.
-    Requires |x| >= |m| (boundary values on the essential spectrum).
+    Requires a finite x with |x| >= |m| (boundary values on the essential
+    spectrum).
     """
     x = float(x)
-    if abs(x) < abs(params.m):
-        raise ValueError(f"|x| >= |m| required, got x={x!r} with m={params.m!r}")
+    if not (math.isfinite(x) and abs(x) >= abs(params.m)):
+        raise ValueError(f"finite |x| >= |m| required, got x={x!r} with m={params.m!r}")
     return params.band_momenta(x) if x * params.band_sign > 0.0 else None
 
 
@@ -335,7 +336,7 @@ def limit_sup_table(params: ShellParams, x: float):
     y / |p - pc| for every y of the table; over them the sampled sup decays
     linearly in y, which is the strong-resolvent statement this table
     diagnoses.  Two momenta exclude at most 0.4 of the 200-wide grid, so
-    nodes always remain.  Requires |x| >= |m|.
+    nodes always remain.  Requires a finite x with |x| >= |m|.
     """
     _require_coupled(params)
     x = float(x)
@@ -350,33 +351,28 @@ def limit_sup_table(params: ShellParams, x: float):
     return rows
 
 
-def limit_im_table(params: ShellParams, x: float, interval):
-    """Table of (y, max over the interval of |Im inverse boundary symbol|)
-    at z = x + i y for y in DEFAULT_IM_Y, over 201 evenly spaced nodes
-    spanning the closed interval.
+def limit_im_table(params: ShellParams, x: float):
+    """Table of (y, max over the grid of |Im inverse boundary symbol|) at
+    z = x + i y for y in DEFAULT_IM_Y, over 201 evenly spaced nodes on
+    [-w/2, w/2], the centred half of the fiber-oscillation window (-w, w),
+    w = sqrt(x^2 - m^2).
 
-    The interval must sit strictly inside the fiber-oscillation window
-    (-sqrt(x^2 - m^2), sqrt(x^2 - m^2)) and away from the critical momenta;
-    there the imaginary part converges to a non-trivial boundary value,
-    which is how the interval is certified as essential spectrum.
+    The critical momenta +/- sqrt(x^2 / band_ratio^2 - m^2) lie outside
+    (-w, w), as band_ratio < 1, so over the grid the imaginary part converges
+    to a non-trivial boundary value, which is how the window is certified as
+    essential spectrum.  Requires a finite x with |x| > |m|.
     """
     _require_coupled(params)
     x = float(x)
-    if abs(x) <= abs(params.m):
-        raise ValueError(f"|x| > |m| required, got x={x!r} with m={params.m!r}")
-    a, b = (float(interval[0]), float(interval[1]))
-    if not a < b:
-        raise ValueError(f"empty interval [{a!r}, {b!r}]")
-    half_window = math.sqrt(x * x - params.m * params.m)
-    if a <= -half_window or b >= half_window:
-        raise ValueError(
-            f"interval [{a!r}, {b!r}] must lie strictly inside "
-            f"(-{half_window!r}, {half_window!r})"
-        )
-    crit = critical_momenta(params, x)
-    if crit is not None and any(a <= pc <= b for pc in crit):
-        raise ValueError("interval touches a critical momentum")
-    grid = np.linspace(a, b, 201)
+    if not (math.isfinite(x) and abs(x) > abs(params.m)):
+        raise ValueError(f"finite |x| > |m| required, got x={x!r} with m={params.m!r}")
+    # w is homogeneous of degree 1 in (x, m): a power of two brings |x| near
+    # 1, so that x^2 neither under- nor overflows; an m^2 that still
+    # underflows lies far below the rounding of x^2
+    e = -math.frexp(x)[1]
+    xs, ms = math.ldexp(x, e), math.ldexp(params.m, e)
+    half = math.ldexp(0.5 * math.sqrt(xs * xs - ms * ms), -e)
+    grid = np.linspace(-half, half, 201)
     rows = []
     for y in DEFAULT_IM_Y:
         inv = boundary_symbol_inverse(params, grid, complex(x, y))

@@ -448,6 +448,26 @@ def test_verify_rejects_unknown_tolerance(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf", "1e400"))
+def test_verify_rejects_a_non_finite_override(capsys, value):
+    # these ran the suite and then failed to print the threshold, exit 3
+    code, out = run(
+        capsys, "verify", "--suite", "oracle", "--eta", "1", "--m", "1",
+        "--tol-override", f"ORACLE_DISPERSION_TOL={value}",
+    )
+    assert code == 2 and out == ""
+
+
+def test_verify_override_takes_the_text_eta_and_m_take(capsys):
+    code, out = run(
+        capsys, "verify", "--suite", "oracle", "--eta", "1", "--m", "1",
+        "--tol-override", "ORACLE_DISPERSION_TOL=1/10",
+    )
+    assert code == 0
+    (row,) = json.loads(out)["checks"]
+    assert row["threshold"] == 0.1
+
+
 def test_verify_rejects_override_keys_no_suite_reads(capsys):
     code, out = run(
         capsys, "verify", "--suite", "symbol", "--tol-override", "SQRT_REL_TOL=-1",
@@ -460,6 +480,22 @@ def test_override_keys_are_the_keys_the_suites_read():
     read = set(re.findall(r'tols\["([A-Z0-9_]+)"\]', source))
     assert read == set(cli.VERIFY_TOLERANCES)
     assert len(cli.VERIFY_TOLERANCES) == len(read)  # no name listed twice
+
+
+def test_verify_limits_survive_an_underflowing_window(capsys):
+    # the window 0.5 sqrt(x^2 - m^2) at x = 2m was formed from squares that
+    # underflow below about m = 1e-162 and collapsed to [-0.0, 0.0], exit 3
+    rows = {}
+    for m in ("1e-160", "1e-200", "1e-300"):
+        code, out = run(capsys, "verify", "--suite", "limits", "--eta", "1", "--m", m)
+        assert code == 0, m
+        rows[m] = [(c["name"], c["measured"]) for c in json.loads(out)["checks"]]
+    assert rows["1e-160"] == [
+        ("sup_decay_ratio", 1.1173211015351532e-04),
+        ("im_limit_floor", 0.3999999999999999),
+        ("im_limit_cauchy", 5.551115123125783e-17),
+    ]
+    assert rows["1e-200"] == rows["1e-160"] == rows["1e-300"]
 
 
 def test_verify_limits_next_to_criticality(capsys):

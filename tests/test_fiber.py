@@ -181,11 +181,6 @@ def test_kernel_scan_domain():
         kernel_at_zero_scan(ShellParams.from_decimal("2", "0"))  # no gap at m=0
 
 
-def test_kernel_scan_accepts_custom_grid():
-    par = ShellParams.from_decimal("-2", "1")
-    assert kernel_at_zero_scan(par, np.linspace(-5.0, 5.0, 101)) <= CRITICAL_KERNEL_TOL
-
-
 # ----------------------------------------------------------------------------
 # quasi-mode residuals
 # ----------------------------------------------------------------------------

@@ -166,39 +166,7 @@ def test_pde_residual_domain():
 # ----------------------------------------------------------------------------
 
 def test_fourier_pair_meets_tolerance():
-    for kappa in (0.5, 1.0, 2.0):
-        assert fourier_pair_check(kappa) <= FOURIER_PAIR_TOL
-
-
-def test_fourier_pair_domain():
-    with pytest.raises(ValueError):
-        fourier_pair_check(0.0)
-    with pytest.raises(ValueError):
-        fourier_pair_check(-2.0)
-    # non-finite, empty and nested kappas, and a bad entry among good ones
-    for kappa in (math.inf, math.nan, -math.inf, (), (1.0, 0.0), (0.5, math.nan), [[1.0]]):
-        with pytest.raises(ValueError):
-            fourier_pair_check(kappa)
-
-
-def test_fourier_pair_rejects_a_kappa_beyond_its_node_budget(monkeypatch):
-    # the body takes about 92/kappa panels of 16 nodes: 1e-12 would need
-    # 1.5e15 nodes and 1e-300 1.5e303, and 5e-324 overflows the count; a
-    # small kappa among good ones is refused before any of them is built
-    built = []
-    nodes = greens._fourier_pair_nodes
-    monkeypatch.setattr(greens, "_fourier_pair_nodes", lambda k: built.append(k) or nodes(k))
-    for kappa in (1e-300, 1e-12, 5e-324, (1.0, 1e-12), 0.0225):
-        with pytest.raises(ValueError, match="kappa = .* budget of 65536"):
-            fourier_pair_check(kappa)
-    assert built == []
-    # the smallest kappa the docstring says fits
-    assert fourier_pair_check(0.0226) <= FOURIER_PAIR_TOL and built == [0.0226]
-
-
-def test_fourier_pair_of_several_kappas_is_the_largest_single_one():
-    singles = [fourier_pair_check(kappa) for kappa in (0.5, 1.0, 2.0)]
-    assert abs(fourier_pair_check((0.5, 1, 2)) - max(singles)) <= 1e-13
+    assert fourier_pair_check() <= FOURIER_PAIR_TOL
 
 
 def test_fourier_pair_takes_every_kappa_in_one_ray_below_the_engine_range(monkeypatch):
@@ -210,7 +178,7 @@ def test_fourier_pair_takes_every_kappa_in_one_ray_below_the_engine_range(monkey
         return ray(a, r)
 
     monkeypatch.setattr(greens, "bessel_k01_ray", spy)
-    fourier_pair_check((0.5, 1.0, 2.0))
+    fourier_pair_check()
     (w,) = seen
     # 129 head nodes per kappa, then full-period panels ending at kappa x = 29
     assert w.size == 3 * 129 + 16 * (185 + 92 + 46)
@@ -227,7 +195,7 @@ def test_fourier_pair_flags_a_kernel_fault(monkeypatch, beyond):
         return np.where(np.abs(a * np.asarray(r)) > beyond, k0 * (1.0 + 1e-9), k0), k1
 
     monkeypatch.setattr(greens, "bessel_k01_ray", faulty)
-    assert fourier_pair_check((0.5, 1.0, 2.0)) > 1e-10
+    assert fourier_pair_check() > 1e-10
 
 
 # ----------------------------------------------------------------------------

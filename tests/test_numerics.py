@@ -247,9 +247,10 @@ def test_bessel_rejects_non_finite_rays():
             bessel_k(1, a)
 
 
-def _fourier_pair_radii(monkeypatch, kappa=1.0):
-    """The one real batch fourier_pair_check hands the engine: its tanh-sinh
-    head cell, down to about 1e-39, then its Gauss-Legendre body."""
+def _fourier_pair_radii(monkeypatch):
+    """The one real batch fourier_pair_check hands the engine: for each
+    kappa its tanh-sinh head cell, down to about 1e-39, then its
+    Gauss-Legendre body."""
     seen = []
 
     def spy(a, r):
@@ -257,9 +258,9 @@ def _fourier_pair_radii(monkeypatch, kappa=1.0):
         return bessel_k01_ray(a, r)
 
     monkeypatch.setattr(greens, "bessel_k01_ray", spy)
-    greens.fourier_pair_check(kappa)
+    greens.fourier_pair_check()
     (x,) = seen
-    return kappa * x
+    return x
 
 
 def test_bessel_fourier_pair_batch_matches_oracle(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from diracshell import cli, symbol
+from diracshell.fiber import fiber_eigenvalue
 from diracshell.numerics import Mat2C, branch_sqrt
 from diracshell.symbol import (
     DEFAULT_IM_Y,
@@ -385,8 +386,7 @@ def test_limit_im_table_has_nontrivial_limit():
     for eta in ("1", "2"):
         par = ShellParams.from_decimal(eta, "1")
         for x in (2.0, -2.0):
-            half = 0.5 * math.sqrt(x * x - 1.0)
-            rows = limit_im_table(par, x, (-half, half))
+            rows = limit_im_table(par, x)
             assert rows[-1][1] >= LIMIT_IM_FLOOR
             assert abs(rows[-1][1] - rows[-2][1]) <= LIMIT_IM_CAUCHY
             assert [y for y, _ in rows] == list(DEFAULT_IM_Y)
@@ -395,11 +395,45 @@ def test_limit_im_table_has_nontrivial_limit():
 def test_limit_im_table_domain():
     par = ShellParams.from_decimal("1", "1")
     with pytest.raises(ValueError):
-        limit_im_table(par, 1.0, (-0.1, 0.1))  # |x| > |m| strict
-    with pytest.raises(ValueError):
-        limit_im_table(par, 2.0, (-2.0, 2.0))  # exceeds the window
-    with pytest.raises(ValueError):
-        limit_im_table(par, 2.0, (0.5, 0.5))  # empty interval
+        limit_im_table(par, 1.0)  # |x| > |m| strict
+
+
+def _im_table_grid(monkeypatch, par, x):
+    grids = []
+    inverse = symbol.boundary_symbol_inverse
+
+    def spy(params, p, z):
+        grids.append(np.array(p))
+        return inverse(params, p, z)
+
+    monkeypatch.setattr(symbol, "boundary_symbol_inverse", spy)
+    limit_im_table(par, x)
+    return grids[0]
+
+
+def test_limit_im_table_samples_the_centred_half_window(monkeypatch):
+    cases = (("1", "1", 2.0), ("3", "2", -4.0), ("-1/2", "1e-3", 7.5), ("1", "1e100", 3e100))
+    for eta, mass, x in cases:
+        par = ShellParams.from_decimal(eta, mass)
+        grid = _im_table_grid(monkeypatch, par, x)
+        half = 0.5 * math.sqrt(x * x - par.m * par.m)
+        assert grid.size == 201 and grid[0] == -half and grid[-1] == half
+        assert np.all(np.diff(grid) > 0.0)
+    # x^2 underflows here, yet the window keeps its width
+    for mass in ("1e-200", "1e-300"):
+        par = ShellParams.from_decimal("1", mass)
+        grid = _im_table_grid(monkeypatch, par, 2.0 * par.m)
+        assert grid[-1] == -grid[0]
+        assert abs(grid[-1] / (0.5 * math.sqrt(3.0) * par.m) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_non_finite_inputs_are_refused(value):
+    # they used to give rows of nan, a nan or no root
+    par = ShellParams.from_decimal("1", "1")
+    for call in (limit_sup_table, limit_im_table, critical_momenta, fiber_eigenvalue):
+        with pytest.raises(ValueError, match="finite"):
+            call(par, value)
 
 
 def test_default_anchor_tracks_the_mass():
