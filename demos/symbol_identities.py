@@ -15,6 +15,7 @@ from diracshell import (
     boundary_symbol_inverse,
     limit_im_table,
     limit_sup_table,
+    pauli,
     reference_symbol,
     weyl_symbol,
 )
@@ -29,7 +30,7 @@ for p in (0.0, 0.5, 2.0, 10.0):
     theta = boundary_symbol(params, p, z)
     det_gap = abs(boundary_det(params, p, z) - theta.det())
     prod = theta @ boundary_symbol_inverse(params, p, z)
-    prod_gap = (prod - prod.identity()).max_abs()
+    prod_gap = (prod - pauli(0)).max_abs()
     zeta = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
     split = reference_symbol(params, zeta, p) - weyl_symbol(params, z, zeta, p)
     split_gap = (split - theta).max_abs()

@@ -28,7 +28,7 @@ from . import tolerances
 from .fiber import _ZERO_ENERGY_GRID, fiber_eigenvalue, kernel_at_zero_scan
 from .fiber import matching_determinant, quasimode_residual
 from .greens import fourier_pair_check, green_kernel, pde_residual
-from .numerics import bessel_k
+from .numerics import bessel_k, pauli
 from .spectrum import band_edge, dispersion_energy, full_spectrum
 from .symbol import (
     ShellParams,
@@ -258,7 +258,7 @@ def suite_symbol(params: ShellParams, tols: dict) -> list:
     scale = np.maximum(1.0, theta.max_abs())
     worst = (
         (np.max(np.abs(theta.det() - closed) / np.abs(closed)), tols["DET_IDENTITY_RTOL"]),
-        (np.max((prod - prod.identity()).max_abs()), tols["INVERSE_ENTRY_TOL"]),
+        (np.max((prod - pauli(0)).max_abs()), tols["INVERSE_ENTRY_TOL"]),
         (np.max((split_a - theta).max_abs() / scale), tols["ZETA_INDEPENDENCE_TOL"]),
         (np.max((split_a - split_b).max_abs() / scale), tols["ZETA_INDEPENDENCE_TOL"]),
     )

@@ -343,10 +343,6 @@ class Mat2C:
     a21: complex
     a22: complex
 
-    @staticmethod
-    def identity() -> "Mat2C":
-        return Mat2C(1.0 + 0j, 0j, 0j, 1.0 + 0j)
-
     def det(self) -> complex:
         return self.a11 * self.a22 - self.a12 * self.a21
 

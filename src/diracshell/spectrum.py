@@ -29,7 +29,6 @@ __all__ = [
     "SpectralComponent",
     "SpectrumDescription",
     "band_edge",
-    "sign_condition",
     "dispersion_energy",
     "dispersion_momentum",
     "full_spectrum",
@@ -128,22 +127,28 @@ def band_edge(params: ShellParams) -> float:
     return float(abs(params.m_exact) * params.band_ratio)
 
 
-def sign_condition(params: ShellParams, z: float) -> bool:
-    """z eta / (eta^2 - 4) > 0, by the exact band sign: the gap side on which
-    in-gap dispersion solutions can exist.  Undefined for eta in {0, +2, -2}."""
-    return z * params.require_band() > 0
-
-
 def dispersion_energy(params: ShellParams, p: float) -> float:
     """Energy of the in-gap band at momentum p,
 
         z(p) = sign(eta (eta^2-4)) * |eta^2-4|/(eta^2+4) * sqrt(p^2 + m^2).
 
     Solves branch_sqrt(p^2 + m^2 - z^2) = 4 z eta/(eta^2 - 4) with both
-    sides positive.  Undefined for eta in {0, +2, -2}.
+    sides positive.  Undefined for eta in {0, +2, -2}.  The root is formed
+    at a power-of-two scale, so p^2 + m^2 never over- or underflows; a
+    non-finite p, or an energy beyond the float range, is a ValueError.
     """
     sign = params.require_band()
-    return sign * float(params.band_ratio) * math.sqrt(p * p + params.m * params.m)
+    if not math.isfinite(p):
+        raise ValueError(f"finite p required, got p={p!r}")
+    # sqrt(p^2 + m^2) is homogeneous of degree 1 in (p, m): a power of two
+    # brings the larger of |p|, |m| near 1, and is exact wherever the plain
+    # sum is a normal float
+    e = math.frexp(max(abs(p), abs(params.m)))[1]
+    ps, ms = math.ldexp(p, -e), math.ldexp(params.m, -e)
+    try:
+        return math.ldexp(sign * float(params.band_ratio) * math.sqrt(ps * ps + ms * ms), e)
+    except OverflowError:
+        raise ValueError(f"the band energy at p={p!r} lies beyond the float range") from None
 
 
 def dispersion_momentum(params: ShellParams, z: float):
@@ -154,12 +159,14 @@ def dispersion_momentum(params: ShellParams, z: float):
     or None below the band edge (ShellParams.band_momenta).  The sign
     condition z eta/(eta^2-4) > 0 must hold: energies on the wrong side of
     the gap never solve the unsquared relation, so they are rejected rather
-    than silently mapped to the mirror band.
+    than silently mapped to the mirror band, and so is every z for eta in
+    {0, +2, -2}.
     """
     z = float(z)
-    if not sign_condition(params, z):
+    pair = params.band_momenta(z)  # first, as it refuses a non-finite z
+    if z * params.require_band() <= 0.0:
         raise ValueError(f"sign condition fails at z = {z!r}: no band on this side of the gap")
-    return params.band_momenta(z)
+    return pair
 
 
 def full_spectrum(params: ShellParams) -> SpectrumDescription:

@@ -53,7 +53,6 @@ __all__ = [
     "boundary_det",
     "dispersion_function",
     "boundary_symbol_inverse",
-    "critical_momenta",
     "limit_sup_table",
     "limit_im_table",
     "default_anchor",
@@ -147,14 +146,29 @@ class ShellParams:
         return self.band_sign
 
     def band_momenta(self, x: float):
-        """+/- sqrt(x^2 / band_ratio^2 - m^2) from the exact radicand, or None
-        below the band edge; 8 ulp below zero (a rounded edge x) gives (0, 0)."""
+        """+/- sqrt(x^2 / band_ratio^2 - m^2): the momenta at which the band,
+        continued past the gap edge, reaches the energy x.  None when
+        x * band_sign <= 0 (the wrong gap side, or eta in {0, +2, -2}) and
+        below the band edge; 8 ulp below zero (a rounded edge x) gives (0, 0).
+        The root of the exact radicand is taken at a power-of-four scale, so
+        it never overflows on the way; a non-finite x, or momenta beyond the
+        float range, is a ValueError."""
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"finite x required, got x={x!r}")
+        if x * self.band_sign <= 0.0:
+            return None
         q2x2 = (Fraction(x) / self.band_ratio) ** 2
         m2 = self.m_exact * self.m_exact
         rad = q2x2 - m2
         if rad < -8 * Fraction(sys.float_info.epsilon) * (q2x2 + m2):
             return None
-        root = math.sqrt(max(rad, 0))
+        rad = max(rad, 0)
+        e = (rad.numerator.bit_length() - rad.denominator.bit_length()) // 2
+        try:
+            root = math.ldexp(math.sqrt(rad / Fraction(4) ** e), e)
+        except OverflowError:
+            raise ValueError(f"the momenta at x={x!r} lie beyond the float range") from None
         return (0.0 - root, root)  # (0.0, 0.0), not (-0.0, 0.0), at the edge
 
 
@@ -291,22 +305,6 @@ def boundary_symbol_inverse(params: ShellParams, p, z) -> Mat2C:
     )
 
 
-def critical_momenta(params: ShellParams, x: float):
-    """Real momenta where the boundary-value dispersion function c_{x+i0}
-    vanishes:  p = +/- sqrt((eta^2+4)^2/(eta^2-4)^2 x^2 - m^2).
-
-    Returns the ordered pair, or None when no such momenta exist (critical
-    or zero coupling, or sign condition x eta (eta^2-4) > 0 violated).  The
-    sign and the radicand are exact.
-    Requires a finite x with |x| >= |m| (boundary values on the essential
-    spectrum).
-    """
-    x = float(x)
-    if not (math.isfinite(x) and abs(x) >= abs(params.m)):
-        raise ValueError(f"finite |x| >= |m| required, got x={x!r} with m={params.m!r}")
-    return params.band_momenta(x) if x * params.band_sign > 0.0 else None
-
-
 # ----------------------------------------------------------------------------
 # boundary-value tables
 # ----------------------------------------------------------------------------
@@ -319,6 +317,17 @@ def critical_momenta(params: ShellParams, x: float):
 _LADDER = 100.0 * 10.0 ** (-5.0 * ((np.arange(1, 1001) - 0.5) / 1000))
 _SUP_GRID = np.sort(np.concatenate([np.linspace(-100.0, 100.0, 2001), _LADDER, -_LADDER]))
 _SUP_GRID.flags.writeable = False
+
+
+def _inverse_rows(params: ShellParams, x: float, grid, ys, measure):
+    """[(y, measure(y, inverse boundary symbol over grid at x + i y))]; an
+    overflow on the way (the prefactor c sqrt(p^2+1) grows like x |p|) is a
+    ValueError, not a row of inf, nan or a spurious 0."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return [(y, measure(y, boundary_symbol_inverse(params, grid, complex(x, y)))) for y in ys]
+    except FloatingPointError as exc:
+        raise ValueError(f"the table at x={x!r} leaves the float range: {exc}") from None
 
 
 def limit_sup_table(params: ShellParams, x: float):
@@ -336,19 +345,23 @@ def limit_sup_table(params: ShellParams, x: float):
     y / |p - pc| for every y of the table; over them the sampled sup decays
     linearly in y, which is the strong-resolvent statement this table
     diagnoses.  Two momenta exclude at most 0.4 of the 200-wide grid, so
-    nodes always remain.  Requires a finite x with |x| >= |m|.
+    nodes always remain.  Requires |x| >= |m| with x^2 + m^2 within the
+    float range.
     """
     _require_coupled(params)
     x = float(x)
+    m = params.m
+    if not (abs(x) >= abs(m) and math.isfinite(x * x + m * m)):
+        raise ValueError(f"|x| >= |m| and a finite x^2 + m^2 required, got x={x!r} with m={m!r}")
     grid = _SUP_GRID
-    crit = critical_momenta(params, x)
+    try:
+        crit = params.band_momenta(x)
+    except ValueError:  # momenta beyond the float range exclude no node
+        crit = None
     if crit is not None:
         grid = grid[np.min(np.abs(grid[:, None] - np.array(crit)), axis=1) >= max(DEFAULT_SUP_Y)]
-    rows = []
-    for y in DEFAULT_SUP_Y:
-        inv = boundary_symbol_inverse(params, grid, complex(x, y))
-        rows.append((y, y * float(np.max(inv.max_abs()))))
-    return rows
+    return _inverse_rows(params, x, grid, DEFAULT_SUP_Y,
+                         lambda y, inv: y * float(np.max(inv.max_abs())))
 
 
 def limit_im_table(params: ShellParams, x: float):
@@ -360,22 +373,21 @@ def limit_im_table(params: ShellParams, x: float):
     The critical momenta +/- sqrt(x^2 / band_ratio^2 - m^2) lie outside
     (-w, w), as band_ratio < 1, so over the grid the imaginary part converges
     to a non-trivial boundary value, which is how the window is certified as
-    essential spectrum.  Requires a finite x with |x| > |m|.
+    essential spectrum.  Requires |x| > |m| with x^2 + m^2 within the float
+    range.
     """
     _require_coupled(params)
     x = float(x)
-    if not (math.isfinite(x) and abs(x) > abs(params.m)):
-        raise ValueError(f"finite |x| > |m| required, got x={x!r} with m={params.m!r}")
+    m = params.m
+    if not (abs(x) > abs(m) and math.isfinite(x * x + m * m)):
+        raise ValueError(f"|x| > |m| and a finite x^2 + m^2 required, got x={x!r} with m={m!r}")
     # w is homogeneous of degree 1 in (x, m): a power of two brings |x| near
     # 1, so that x^2 neither under- nor overflows; an m^2 that still
     # underflows lies far below the rounding of x^2
     e = -math.frexp(x)[1]
-    xs, ms = math.ldexp(x, e), math.ldexp(params.m, e)
+    xs, ms = math.ldexp(x, e), math.ldexp(m, e)
     half = math.ldexp(0.5 * math.sqrt(xs * xs - ms * ms), -e)
     grid = np.linspace(-half, half, 201)
-    rows = []
-    for y in DEFAULT_IM_Y:
-        inv = boundary_symbol_inverse(params, grid, complex(x, y))
-        # inv - Re inv = i Im inv exactly, so this is the entrywise max |Im|
-        rows.append((y, float(np.max((inv - inv.real_part()).max_abs()))))
-    return rows
+    # inv - Re inv = i Im inv exactly, so this is the entrywise max |Im|
+    return _inverse_rows(params, x, grid, DEFAULT_IM_Y,
+                         lambda y, inv: float(np.max((inv - inv.real_part()).max_abs())))

@@ -4,6 +4,7 @@ and of the quasi-mode residual that certifies the band's energies."""
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from diracshell.cli import main  # noqa: E402
 from diracshell.fiber import quasimode_residual  # noqa: E402
-from diracshell.spectrum import dispersion_momentum, sign_condition  # noqa: E402
-from diracshell.symbol import ShellParams, critical_momenta  # noqa: E402
+from diracshell.spectrum import dispersion_energy, dispersion_momentum  # noqa: E402
+from diracshell.symbol import ShellParams  # noqa: E402
 
 TINY = Fraction(1, 10**30)
 ETA = st.one_of(
@@ -26,7 +27,7 @@ ETA = st.one_of(
     ),
 )
 MASS = st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000)
-ENERGY = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+ENERGY = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 
 def _run(command, eta, m) -> str:
@@ -41,13 +42,15 @@ def _run(command, eta, m) -> str:
 @given(eta=ETA, m=MASS, x=ENERGY)
 def test_band_functions_raise_only_their_value_error(eta, m, x):
     params = ShellParams.from_decimal(str(eta), str(m))
-    for func in (critical_momenta, sign_condition, dispersion_momentum):
+    for func in (ShellParams.band_momenta, dispersion_momentum, dispersion_energy):
         try:
             got = func(params, x)
         except ValueError:
             continue
         if isinstance(got, tuple):
             assert got[0] == -got[1] and got[1] >= 0.0
+        if isinstance(got, float):
+            assert math.isfinite(got)
     _run("band-edges", eta, m)
 
 

@@ -744,14 +744,15 @@ def test_double_dash_attached_to_a_flag_is_a_usage_error(capsys):
 
 def test_results_that_overflow_are_domain_errors(capsys):
     # these printed -inf or nan, or ended in a traceback with exit 1
-    # (a division by zero at eta = 1e-300, a non-finite JSON entry otherwise)
+    # (a division by zero at eta = 1e-300, a non-finite JSON entry otherwise);
+    # at eta = 1e-3 the band energy |z| ~ sqrt(p^2 + m^2) exceeds the float range
     cases = (
-        ("dispersion", "--eta", "1", "--m", "1", "--p-max", "1e300", "--p-count", "2"),
+        ("dispersion", "--eta", "1e-3", "--m", "1.7e308", "--p-max", "1.7e308", "--p-count", "2"),
         ("symbol-eval", "--eta", "1", "--m", "1", "--z", "0.5j", "--p-min", "-1e300", "--p-count", "2"),
         ("symbol-eval", "--eta", "1e-300", "--m", "1", "--z", "0.5j", "--p-count", "2"),
         ("symbol-eval", "--eta", "1e300", "--m", "1", "--z", "0.5j", "--p-count", "2"),
         ("verify", "--suite", "critical", "--eta", "1e300", "--m", "1"),
-        ("quasimode", "--eta", "1", "--m", "1e300"),
+        ("quasimode", "--eta", "1e-3", "--m", "1.7e308", "--p0", "1.7e308"),
         ("greens-eval", "--m", "1e300", "--z", "0.5j"),
     )
     for argv in cases:
@@ -760,6 +761,41 @@ def test_results_that_overflow_are_domain_errors(capsys):
             code, out = run(capsys, *argv)
         assert code == 3, argv
         assert out == ""
+
+
+def test_band_energies_whose_squares_overflow_are_answered(capsys):
+    # p^2 + m^2 overflowed, so these printed "-inf is not a finite number" and
+    # exited 3, although the energy, about -0.6 max(|p|, |m|), is a float
+    for argv, energy in (
+        (("quasimode", "--p0", "1e200"), -6e199),
+        (("quasimode", "--m", "1e300"), -6e299),
+        (("dispersion", "--p-min", "0", "--p-max", "1e200", "--p-count", "2"), -6e199),
+        (("dispersion", "--p-max", "1e300", "--p-count", "2"), -6e299),
+    ):
+        code, out = run(capsys, argv[0], "--eta", "1", *argv[1:])
+        assert code == 0, argv
+        if argv[0] == "quasimode":
+            doc = json.loads(out)
+            got, residual = doc["energy"], doc["residual"]
+            assert 0.0 < residual <= 0.6 * 0.25  # the slope bound band_ratio * width
+        else:
+            got = float(out.splitlines()[-1].split(",")[1])
+        assert abs(got / energy - 1.0) <= 1e-15, argv
+
+
+def test_limits_refuse_masses_whose_squares_overflow(capsys):
+    # 1e160 stopped in band_momenta's float conversion; with that root mended
+    # the tables printed overflow warnings and rows of nan, 0 and inf
+    code = main(["verify", "--suite", "limits", "--eta", "1", "--m", "1e160"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "") and "x^2 + m^2" in captured.err
+    code, out = run(capsys, "verify", "--suite", "limits", "--eta", "1", "--m", "1e150")
+    assert code == 0 and json.loads(out)["pass"] is True
+    # just below that edge the square is finite but the inverse's prefactor
+    # is not: the run warned once and exited 0
+    code = main(["verify", "--suite", "limits", "--eta", "1", "--m", "5e153"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "") and "float range" in captured.err
 
 
 def test_readme_command_line_examples_run(capsys):
@@ -778,3 +814,10 @@ def test_readme_names_every_public_name():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     missing = [name for name in diracshell.__all__ if f"`{name}`" not in readme]
     assert not missing
+    # and back: the names heading a bullet of the API highlights, before its
+    # first colon, are public, so a deleted name does not linger there
+    block = readme.split("Highlights of the API:\n", 1)[1].split("\n\n", 1)[0]
+    heads = [name for bullet in block.split("\n- ")[1:]
+             for name in re.findall(r"`(\w+)`", bullet.split(":", 1)[0])]
+    assert len(heads) >= 20
+    assert [name for name in heads if name not in diracshell.__all__] == []

@@ -13,7 +13,7 @@ from diracshell.fiber import (
     quasimode_residual,
 )
 from diracshell.numerics import pauli
-from diracshell.spectrum import dispersion_energy, sign_condition
+from diracshell.spectrum import dispersion_energy, dispersion_momentum
 from diracshell.symbol import ShellParams
 from diracshell.tolerances import (
     CRITICAL_KERNEL_TOL,
@@ -155,7 +155,8 @@ def test_no_roots_on_the_wrong_gap_side():
         zs = np.linspace(1e-6, 0.999 * half, 500)
         dets = np.array([matching_determinant(par, p, z).real for z in zs])
         assert np.all(dets > 0.0) or np.all(dets < 0.0)
-        assert not sign_condition(par, float(zs[0]))
+        with pytest.raises(ValueError, match="sign condition"):
+            dispersion_momentum(par, float(zs[0]))
 
 
 # ----------------------------------------------------------------------------

@@ -512,8 +512,8 @@ def test_mat2c_algebra_identities():
     ab = a @ b
     assert np.all(np.abs(ab.det() - a.det() * b.det()) <= 1e-12 * np.maximum(1.0, np.abs(a.det() * b.det())))
     assert np.all(((a + b) - b - a).max_abs() <= 1e-15 * (a.max_abs() + b.max_abs()))
-    assert np.all((a @ Mat2C.identity() - a).max_abs() == 0.0)
-    assert np.all((Mat2C.identity() @ a - a).max_abs() == 0.0)
+    assert np.all((a @ pauli(0) - a).max_abs() == 0.0)
+    assert np.all((pauli(0) @ a - a).max_abs() == 0.0)
     # the array path agrees with numpy's stacked matrix algebra
     arr_a, arr_b = a.as_array(), b.as_array()
     assert arr_a.shape == (50, 2, 2)

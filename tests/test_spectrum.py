@@ -15,7 +15,6 @@ from diracshell.spectrum import (
     dispersion_energy,
     dispersion_momentum,
     full_spectrum,
-    sign_condition,
     symmetry_partner,
 )
 from diracshell.symbol import ShellParams, boundary_det
@@ -43,14 +42,22 @@ def test_band_edge_free_limit():
         assert abs(band_edge(par) - 2.0) <= 2.0 * par.eta * par.eta / 2.0
 
 
-def test_sign_condition():
-    assert sign_condition(ShellParams.from_decimal("1", "1"), -0.5)
-    assert sign_condition(ShellParams.from_decimal("3", "1"), 0.5)
-    assert not sign_condition(ShellParams.from_decimal("1", "1"), 0.5)
-    assert not sign_condition(ShellParams.from_decimal("3", "1"), 0.0)
+def test_dispersion_momentum_gap_side():
+    # the right side answers, below the edge with None; the wrong side, z = 0
+    # and eta in {0, +2, -2} are refused, where band_momenta gives None
+    one, three = ShellParams.from_decimal("1", "1"), ShellParams.from_decimal("3", "1")
+    assert dispersion_momentum(one, -0.5) is None
+    pair = dispersion_momentum(three, 0.5)
+    assert pair is not None and pair == three.band_momenta(0.5)
+    for par, z in ((one, 0.5), (three, 0.0), (three, -0.0), (three, -0.5)):
+        assert par.band_momenta(z) is None
+        with pytest.raises(ValueError, match="sign condition"):
+            dispersion_momentum(par, z)
     for eta in ("0", "2", "-2"):
+        par = ShellParams.from_decimal(eta, "1")
+        assert par.band_momenta(0.5) is None
         with pytest.raises(ValueError):
-            sign_condition(ShellParams.from_decimal(eta, "1"), 0.5)
+            dispersion_momentum(par, 0.5)
 
 
 # ----------------------------------------------------------------------------
@@ -65,6 +72,19 @@ def test_dispersion_energy_frozen_values():
     for eta in ("0", "2", "-2"):
         with pytest.raises(ValueError):
             dispersion_energy(ShellParams.from_decimal(eta, "1"), 1.0)
+
+
+def test_dispersion_energy_where_the_squares_leave_the_float_range():
+    # p^2 + m^2 overflowed to an energy of -inf, or underflowed to 0
+    one = ShellParams.from_decimal("1", "1")
+    assert abs(dispersion_energy(one, 1e200) / -6e199 - 1.0) <= 1e-15
+    tiny = ShellParams.from_decimal("1", "1e-170")
+    assert abs(dispersion_energy(tiny, 0.0) / -6e-171 - 1.0) <= 1e-15
+    with pytest.raises(ValueError, match="float range"):
+        dispersion_energy(ShellParams.from_decimal("1e-3", "1.7e308"), 1.7e308)
+    for p in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dispersion_energy(one, p)
 
 
 def test_dispersion_solves_unsquared_relation():

@@ -9,7 +9,8 @@ import pytest
 
 from diracshell import cli, symbol
 from diracshell.fiber import fiber_eigenvalue
-from diracshell.numerics import Mat2C, branch_sqrt
+from diracshell.numerics import Mat2C, branch_sqrt, pauli
+from diracshell.spectrum import dispersion_momentum
 from diracshell.symbol import (
     DEFAULT_IM_Y,
     DEFAULT_SUP_Y,
@@ -18,7 +19,6 @@ from diracshell.symbol import (
     boundary_det,
     boundary_symbol,
     boundary_symbol_inverse,
-    critical_momenta,
     default_anchor,
     dispersion_function,
     limit_im_table,
@@ -190,7 +190,7 @@ def test_det_proportional_to_dispersion_function():
 
 def test_inverse_product_is_identity():
     rng = np.random.default_rng(41)
-    eye = Mat2C.identity()
+    eye = pauli(0)
     for eta in (1.0, -2.0, 3.5, 0.25):
         par = ShellParams(eta, 1.0)
         for _ in range(250):
@@ -312,28 +312,39 @@ def test_anchor_must_be_nonreal():
 
 
 # ----------------------------------------------------------------------------
-# critical momenta
+# band momenta
 # ----------------------------------------------------------------------------
 
-def test_critical_momenta_frozen_example():
-    par = ShellParams.from_decimal("6", "2")
-    got = critical_momenta(par, 2.0)
-    assert got is not None
-    assert abs(got[0] + 1.5) <= 1e-13 and abs(got[1] - 1.5) <= 1e-13
+def test_band_momenta_frozen_example():
+    assert ShellParams.from_decimal("6", "2").band_momenta(2.0) == (-1.5, 1.5)
 
 
-def test_critical_momenta_sign_and_window():
+def test_band_momenta_sign_and_window():
     par = ShellParams.from_decimal("1", "1")
     # eta/(eta^2-4) < 0: needs x < 0 for real momenta
-    assert critical_momenta(par, 1.3) is None
-    got = critical_momenta(par, -1.3)
+    assert par.band_momenta(1.3) is None
+    got = par.band_momenta(-1.3)
     assert got is not None
     window = math.sqrt(1.3 * 1.3 - 1.0)
     assert got[1] > window  # always outside the oscillation window
-    assert critical_momenta(ShellParams.from_decimal("2", "1"), 1.5) is None
-    assert critical_momenta(ShellParams.from_decimal("0", "1"), 1.5) is None
+    for eta in ("0", "2", "-2"):
+        assert ShellParams.from_decimal(eta, "1").band_momenta(1.5) is None
+        assert ShellParams.from_decimal(eta, "1").band_momenta(-1.5) is None
     with pytest.raises(ValueError):
-        critical_momenta(par, 0.5)
+        limit_sup_table(par, 0.5)  # |x| < |m|: inside the gap
+
+
+def test_band_momenta_beyond_the_squares_range():
+    # math.sqrt of the exact radicand converted it to a float first, which
+    # overflowed (OverflowError) or underflowed (a root of 0)
+    par = ShellParams.from_decimal("1", "1")
+    assert par.band_momenta(-1e200) == (-1.6666666666666667e200, 1.6666666666666667e200)
+    lo, hi = par.band_momenta(-1e308)
+    assert lo == -hi and abs(hi - 1.6666666666666668e308) <= math.ulp(hi)  # exact: 1.6666666666666666850e308
+    with pytest.raises(ValueError, match="float range"):
+        par.band_momenta(-1.7e308)  # 2.8e308
+    root = ShellParams.from_decimal("1", "1e-200").band_momenta(-1e-200)[1]
+    assert abs(root / (4.0 / 3.0 * 1e-200) - 1.0) <= 1e-15
 
 
 # ----------------------------------------------------------------------------
@@ -361,7 +372,7 @@ def test_limit_sup_table_leaves_out_critical_cells():
     # eta = 6, m = 2: the critical momenta at x = 2 are exactly +-1.5, and
     # the largest y of the table is 0.1
     par = ShellParams.from_decimal("6", "2")
-    crit = critical_momenta(par, 2.0)
+    crit = par.band_momenta(2.0)
     assert crit == (-1.5, 1.5)
     grid = symbol._SUP_GRID
     near = np.min(np.abs(grid[:, None] - np.array(crit)), axis=1) < 0.1
@@ -431,9 +442,38 @@ def test_limit_im_table_samples_the_centred_half_window(monkeypatch):
 def test_non_finite_inputs_are_refused(value):
     # they used to give rows of nan, a nan or no root
     par = ShellParams.from_decimal("1", "1")
-    for call in (limit_sup_table, limit_im_table, critical_momenta, fiber_eigenvalue):
+    for call in (limit_sup_table, limit_im_table, ShellParams.band_momenta, dispersion_momentum,
+                 fiber_eigenvalue):
         with pytest.raises(ValueError, match="finite"):
             call(par, value)
+
+
+def test_limit_tables_refuse_squares_beyond_the_float_range():
+    # they warned of numpy overflows and returned rows of nan
+    par = ShellParams.from_decimal("1", "1")
+    for call in (limit_sup_table, limit_im_table):
+        for x in (1e200, -1.35e154):
+            with pytest.raises(ValueError, match=r"x\^2 \+ m\^2"):
+                call(par, x)
+
+
+def test_limit_im_table_refuses_a_prefactor_beyond_the_float_range():
+    # x^2 + m^2 is finite here, but c sqrt(p^2 + 1) at |p| ~ x/2 is not: the
+    # table warned of numpy overflows and returned rows of nan
+    par = ShellParams.from_decimal("1", "1")
+    for x in (8e153, 1.3e154):
+        with pytest.raises(ValueError, match="float range"):
+            limit_im_table(par, x)
+    assert all(np.isfinite(v) and v > 0.0 for _, v in limit_im_table(par, 1e150))
+
+
+def test_limit_sup_table_answers_when_the_momenta_leave_the_float_range():
+    # at band_ratio ~ 1e-300 band_momenta(1e10) is a ValueError; momenta that
+    # far out exclude no node of the grid
+    par = ShellParams(2 + Fraction(1, 10**300), 1)
+    with pytest.raises(ValueError, match="float range"):
+        par.band_momenta(1e10)
+    assert all(np.isfinite(v) and v > 0.0 for _, v in limit_sup_table(par, 1e10))
 
 
 def test_default_anchor_tracks_the_mass():
