@@ -127,8 +127,18 @@ def fiber_eigenvalue(params: ShellParams, p: float):
     top = half * max(1.0 - FIBER_GAP_MARGIN, float((1 + params.band_ratio) / 2))
     if top >= half:  # the band is within rounding of the gap edge
         return None
+    # the determinant is homogeneous of degree 2 in (p, m, z): its signs are
+    # read at (p, m, z) 2^e with |(p, m)| 2^e in [1/2, 1), where squaring
+    # neither over- nor underflows, and are exact wherever the plain
+    # squares are normal floats
+    e = -math.frexp(half)[1]
+    p_e, m_e = math.ldexp(p, e), math.ldexp(params.m, e)
+
+    def det_at(z: float) -> float:
+        return _match_det_raw(params.eta, m_e, p_e, math.ldexp(z, e))
+
     zs = np.linspace(-top, top, FIBER_SCAN_NODES)
-    det = _match_det_raw(params.eta, params.m, p, zs)
+    det = _match_det_raw(params.eta, m_e, p_e, np.ldexp(zs, e))
     hits = np.nonzero(det == 0.0)[0]
     if hits.size:
         return float(zs[hits[0]])
@@ -140,12 +150,12 @@ def fiber_eigenvalue(params: ShellParams, p: float):
             f"multiple sign changes of the matching determinant at p = {p!r}"
         )
     lo, hi = float(zs[flips[0]]), float(zs[flips[0] + 1])
-    f_lo = _match_det_raw(params.eta, params.m, p, lo)
+    f_lo = det_at(lo)
     while hi - lo > FIBER_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats, as for |z| > 8192: no smaller bracket
             break
-        f_mid = _match_det_raw(params.eta, params.m, p, mid)
+        f_mid = det_at(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):

@@ -20,9 +20,12 @@ _kernel_terms, for the point kernel, the singular cell, the offset table
 and the direct sum alike.  The quadrature has two paths that give the same
 sums.  At grid-node targets the kernel depends only on the integer offset
 between nodes, so it is tabulated over the offsets (one Bessel ray on the
-distinct radii and the singular cell's) and applied to the whole grid by
-zero-padded FFT; other targets take the direct sum, one kernel value per
-target-source pair.
+distinct radii and the singular cell's).  A few targets, k with
+2 k n1 n2 <= N log2 N for the padded FFT size N, read that table in
+windows, one per target, against the flipped source: up to 29 targets on
+a 61^2 grid, where the measured crossover lies at 34-45.  More targets
+take the whole grid by zero-padded FFT.  Other targets take the direct
+sum, one kernel value per target-source pair.
 Everything of the node path that does not depend on z (the offset
 geometry, the distinct radii and the source's padded spectra) is built
 once per field, on its first node-path call, and kept with the field,
@@ -31,6 +34,7 @@ radii: the square's symmetry leaves two classes of polar angles.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -55,8 +59,7 @@ _TWO_PI = 2.0 * math.pi
 def green_kernel(m: float, z: complex, x) -> Mat2C:
     """Kernel matrix G_z(x) at a single point x != 0, from _kernel_terms.
 
-    Domain errors for z on the free spectrum propagate from branch_sqrt
-    (m^2 - z^2 lands on its cut exactly for real z with |z| >= |m|).
+    Domain errors come from _decay_rate.
     """
     m = float(m)
     z = complex(z)
@@ -64,13 +67,27 @@ def green_kernel(m: float, z: complex, x) -> Mat2C:
     r = math.hypot(x1, x2)
     if r == 0.0:
         raise ValueError("the kernel is singular at x = 0")
-    a = branch_sqrt(m * m - z * z)
+    a = _decay_rate(m, z)
     k0 = bessel_k(0, a * r)
     k1 = bessel_k(1, a * r)
     c0, c1m, c1p = _kernel_terms(a, _phase(x1, x2, r), k0, k1, 1.0)
     # the mass term z sigma_0 + m sigma_3 adds 0 off the diagonal, which
     # turns an exactly vanishing -0 part of c1 phase into +0
     return Mat2C((z + m) * c0, c1m + 0.0, c1p + 0.0, (z - m) * c0)
+
+
+def _decay_rate(m: float, z: complex) -> complex:
+    """a = branch_sqrt(m^2 - z^2), the kernel's rate of decay.
+
+    ValueError when m^2 - z^2 leaves the float range, and from branch_sqrt
+    for z on the free spectrum (m^2 - z^2 lands on its cut exactly for
+    real z with |z| >= |m|)."""
+    w = m * m - z * z
+    if not cmath.isfinite(w):
+        raise ValueError(
+            f"m^2 - z^2 leaves the float range at m = {m!r}, z = {z!r}: it evaluates to {w!r}"
+        )
+    return branch_sqrt(w)
 
 
 def pde_residual(m: float, z: complex, x, h: float) -> Mat2C:
@@ -326,39 +343,102 @@ class _NodePlan(NamedTuple):
         )
 
 
-def _node_apply(m: float, z: complex, a: complex, f: SampledField) -> np.ndarray:
-    """The quadrature of resolvent_apply at every grid node, shape (n1, n2, 2).
+def _node_apply(m: float, z: complex, a: complex, f: SampledField, i, j) -> np.ndarray:
+    """The quadrature of resolvent_apply at the grid nodes (i, j), shape (k, 2).
 
     At a node target G_z(x_i - y_j) depends only on the integer offset
-    i - j, so the kernel is tabulated on the (2 n1 - 1) x (2 n2 - 1)
-    offsets: the distinct radii h sqrt(di^2 + dj^2), and the singular cell
-    at offset (0, 0).  One Bessel ray takes both, the distinct radii
-    followed by _cell_nodes' 16.  The sum over sources is then
-    an aperiodic convolution (Hockney & Eastwood, Computer Simulation Using
-    Particles, ch. 6), done by FFT on arrays zero-padded to at least
-    2 n - 1 per axis, rounded up to a 2*3*5-smooth length: the circular
-    product wraps around only onto entries past the n nodes read off.
+    i - j, so the kernel is tabulated on the offsets (_offset_table).  The
+    sum over sources is then an aperiodic convolution of that table with
+    the source, taken one of two ways, as _few_targets decides from the
+    sizes alone:
 
-    Only the z-dependent work happens per call: the Bessel ray, the radial
-    factors on the distinct radii, the cell's sum, three table FFTs and two
-    inverse FFTs.  The rest comes from the field's _NodePlan.  The three
-    entries are transformed one at a time into the two spinor components'
-    spectra, and the table is freed before the inverse FFTs."""
+    * for k targets with 2 k n1 n2 <= N log2 N, N the padded FFT size,
+      _window_sums: each target's (n1, n2) window of the table against
+      the flipped source.  That is k <= 29 at 61^2, where the measured
+      crossover lies at 34-45 targets (18-20 at 31^2, 45-47 at 121^2);
+    * otherwise _fft_sums, the whole grid at once by zero-padded FFT.
+
+    Only the z-dependent work happens per call: the table and the sums
+    over sources.  The rest comes from the field's _NodePlan.  The table
+    is handed on without a name here, so _fft_sums can free it before its
+    inverse FFTs."""
+    plan = f._node_plan
+    n1, n2 = f.x1.size, f.x2.size
+    if _few_targets(i.size, n1, n2, plan.shape):
+        return _window_sums(m, z, _offset_table(a, f), f.values, i, j)
+    return _fft_sums(m, z, _offset_table(a, f), plan, n1, n2)[i, j]
+
+
+def _offset_table(a: complex, f: SampledField):
+    """h^2 G_z on the (2 n1 - 1) x (2 n2 - 1) integer offsets of the
+    field's grid, as the three entries of _kernel_terms, with the singular
+    cell at offset (0, 0), index (n1 - 1, n2 - 1).
+
+    One Bessel ray takes the distinct radii h sqrt(di^2 + dj^2) followed
+    by _cell_nodes' 16; the radial factors are formed on the distinct radii
+    and gathered to the offsets."""
     plan = f._node_plan
     h = f.spacing
     n1, n2 = f.x1.size, f.x2.size
     cell_r, cell_w = _cell_nodes(h)
     k0, k1 = bessel_k01_ray(a, np.concatenate([plan.radii, cell_r]))
     n = plan.radii.size
-    cell = _cell_sum(a, cell_w, k0[n:], k1[n:])
     terms = _kernel_terms(a, plan.phase, k0[:n], k1[:n], h * h, plan.back)
+    for table, cell in zip(terms, _cell_sum(a, cell_w, k0[n:], k1[n:])):
+        table[n1 - 1, n2 - 1] = cell
+    return terms
+
+
+def _few_targets(k: int, n1: int, n2: int, shape) -> bool:
+    """Whether k node targets take _window_sums rather than _fft_sums:
+    when 2 k n1 n2 <= N log2 N for the padded FFT size N.
+
+    The windows cost four sums of n1 n2 products per target, the FFT five
+    transforms of size N.  The measured crossovers sit at 0.7 to 1.6 times
+    the rule's 25, 29 and 31 targets at 31^2, 61^2 and 121^2 (README), and
+    a whole grid is far past it."""
+    size = shape[0] * shape[1]
+    return 2 * k * n1 * n2 <= size * math.log2(size)
+
+
+def _window_sums(m: float, z: complex, terms, values: np.ndarray, i, j) -> np.ndarray:
+    """The convolution of the offset table with the source at the node
+    targets (i, j), shape (k, 2).
+
+    With the origin at table index (n1 - 1, n2 - 1), target (i, j) reads
+    the table's window [i, i + n1) x [j, j + n2) against the source flipped
+    on both axes.  Each window is a view, and each of its four sums one
+    np.einsum: no copy of the windows, no BLAS, so a target's bits do not
+    depend on the other targets of the call."""
+    n1, n2 = values.shape[:2]
+    s1, s2 = values[::-1, ::-1, 0], values[::-1, ::-1, 1]
+    c0, c1m, c1p = terms
+    out = np.empty((i.size, 2), dtype=complex)
+    for t, (p, q) in enumerate(zip(i, j)):
+        w = np.s_[p : p + n1, q : q + n2]
+        out[t] = (
+            (z + m) * np.einsum("pq,pq", c0[w], s1) + np.einsum("pq,pq", c1m[w], s2),
+            np.einsum("pq,pq", c1p[w], s1) + (z - m) * np.einsum("pq,pq", c0[w], s2),
+        )
+    return out
+
+
+def _fft_sums(m: float, z: complex, terms, plan: _NodePlan, n1: int, n2: int) -> np.ndarray:
+    """The convolution of the offset table with the source at every grid
+    node, shape (n1, n2, 2): an aperiodic convolution (Hockney & Eastwood,
+    Computer Simulation Using Particles, ch. 6), done by FFT on arrays
+    zero-padded to at least 2 n - 1 per axis, rounded up to a 2*3*5-smooth
+    length: the circular product wraps around only onto entries past the n
+    nodes read off.  Three table FFTs and two inverse FFTs against the
+    plan's source spectra; the three entries are transformed one at a time
+    into the two spinor components' spectra, and the table is freed before
+    the inverse FFTs."""
     f1, f2 = plan.spectra
     table = np.zeros(plan.shape, dtype=complex)
     spec = np.empty(plan.shape, dtype=complex)
 
     def transform(entry: int) -> np.ndarray:
         table[: 2 * n1 - 1, : 2 * n2 - 1] = terms[entry]
-        table[n1 - 1, n2 - 1] = cell[entry]
         return np.fft.fft2(table, out=spec)
 
     u1 = (z + m) * f1
@@ -421,19 +501,25 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
     _cell_nodes (16 radii) times the nearest node value.  Each point takes
     one of two paths, chosen by its own coordinates:
 
-    * a point on a grid node reads its value off the whole-grid result of
-      _node_apply: one kernel table over the integer offsets, applied by
-      zero-padded FFT.  This is how the consistency check (finite
+    * points on grid nodes go to _node_apply: one kernel table over the
+      integer offsets.  With k such points on an n1 x n2 grid, padded to
+      N entries for the FFT, each point reads its own window of the table
+      when 2 k n1 n2 <= N log2 N (k <= 29 at 61^2), and otherwise all of
+      them read the whole-grid result of a zero-padded FFT.  A whole grid
+      always takes the FFT; this is how the consistency check (finite
       differences reproduce f) is meant to be driven.  The field's first
       such call builds and keeps its z-independent part (offset geometry,
       distinct radii, source spectra), so later calls at other z on the
       same field pay only for the Bessel ray, which takes the cell's radii
-      too, and the FFTs;
+      too, and the sums;
     * any other point takes the direct sum of _direct_apply, one kernel
       value per source node; inside the sampled rectangle its singular cell
       sits on the nearest node.
 
-    On node points the two agree to rounding (about 1e-15 relative).
+    So the path of a point follows from its coordinates and, on a node,
+    from how many node points the call holds.  The three ways agree to
+    rounding (about 1e-15 relative).  A window's value does not depend on
+    the call's other points.
 
     x_eval: one point (x1, x2) or an array of shape (k, 2).  Returns the
     spinor values, shape (2,) or (k, 2).  Warns once per call, with their
@@ -442,7 +528,7 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
     """
     m = float(m)
     z = complex(z)
-    a = branch_sqrt(m * m - z * z)
+    a = _decay_rate(m, z)
     if not isinstance(f, SampledField):
         raise TypeError("f must be a SampledField")
     pts = np.asarray(x_eval, dtype=float)
@@ -471,7 +557,7 @@ def resolvent_apply(m: float, z: complex, f: SampledField, x_eval) -> np.ndarray
     on_node = on1 & on2
     out = np.empty((pts.shape[0], 2), dtype=complex)
     if np.any(on_node):
-        out[on_node] = _node_apply(m, z, a, f)[i[on_node], j[on_node]]
+        out[on_node] = _node_apply(m, z, a, f, i[on_node], j[on_node])
     if not np.all(on_node):
         off = ~on_node
         out[off] = _direct_apply(m, z, a, f, _singular_cell(a, h), pts[off], i[off], j[off])

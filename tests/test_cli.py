@@ -337,6 +337,14 @@ def test_greens_eval_rejects_a_radius_below_the_bessel_range(capsys):
     assert "|a| r = 1.12e-320" in captured.err  # a = sqrt(1.25), r = 1e-320
 
 
+def test_greens_eval_names_a_decay_rate_beyond_the_float_range(capsys):
+    # m^2 - z^2 = inf: named as such, not as a Bessel ray direction inf+nanj
+    code = main(["greens-eval", "--m", "1e200", "--z", "0.5j"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "m^2 - z^2 leaves the float range" in captured.err
+
+
 def test_greens_eval_mass_takes_the_text_of_every_other_mass(capsys):
     outs = {text: run(capsys, "greens-eval", "--m", text, "--z", "0.5j") for text in ("1/2", "0.5")}
     assert outs["1/2"] == outs["0.5"] and outs["0.5"][0] == 0

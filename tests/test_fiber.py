@@ -1,5 +1,6 @@
 """Fiber transmission oracle: matching determinant, roots, quasi-modes."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,18 @@ def test_fiber_eigenvalue_matches_dispersion():
                 root = fiber_eigenvalue(par, p)
                 assert root is not None
                 assert abs(root - dispersion_energy(par, p)) <= ORACLE_DISPERSION_TOL
+
+
+def test_fiber_eigenvalue_at_masses_whose_squares_overflow():
+    # m^2 overflows from |m| ~ 1.4e154, where the plain determinant is inf
+    # or nan and the scan would find no sign change
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = (("1", "1e200", 0.0), ("1", "1.3e154", 0.0), ("-1/2", "1e200", 3e199), ("3", "1e300", 0.0))
+        for eta, m, p in cases:
+            par = ShellParams.from_decimal(eta, m)
+            root, want = fiber_eigenvalue(par, p), dispersion_energy(par, p)
+            assert abs(root - want) <= 1e-12 * abs(want), (eta, m, p)
 
 
 def test_fiber_eigenvalue_domain():

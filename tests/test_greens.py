@@ -1,5 +1,6 @@
 """Green kernel closed form, PDE residual, Fourier pair, resolvent quadrature."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,6 +128,17 @@ def test_green_kernel_domain():
         green_kernel(1.0, -1.0, (1.0, 0.0))
     with pytest.raises(ValueError):
         green_kernel(0.0, 0.0, (1.0, 0.0))  # massless gap is empty
+
+
+def test_a_decay_rate_beyond_the_float_range_is_a_domain_error():
+    # m^2 - z^2 overflows to inf here; the error must name that, not the
+    # Bessel ray's direction inf+nanj that follows from it
+    field = _gaussian_field(count=11)
+    for m, z in ((1e200, 0.5j), (1.0, 1e200 + 0.5j)):
+        with pytest.raises(ValueError, match=r"m\^2 - z\^2 leaves the float range"):
+            green_kernel(m, z, (1.0, 0.0))
+        with pytest.raises(ValueError, match=r"m\^2 - z\^2 leaves the float range"):
+            resolvent_apply(m, z, field, (0.0, 0.0))
 
 
 # ----------------------------------------------------------------------------
@@ -455,6 +467,72 @@ def test_node_path_takes_the_cell_in_its_one_ray(monkeypatch):
     resolvent_apply(1.0, 0.3 + 0.5j, field, (axis[15], axis[15]))
     # the grid's distinct radii followed by the singular cell's 16
     assert sizes == [field._node_plan.radii.size + 16]
+
+
+# ----------------------------------------------------------------------------
+# node targets: windows of the offset table or the FFT
+# ----------------------------------------------------------------------------
+
+def _plus_stencil(axis):
+    c = axis.size // 2
+    return np.array([(axis[c + di], axis[c + dj]) for di, dj in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))])
+
+
+def _block(axis, half):
+    c = axis.size // 2
+    steps = range(-half, half + 1)
+    return np.array([(axis[c + di], axis[c + dj]) for di in steps for dj in steps])
+
+
+@pytest.mark.parametrize("count", (31, 61))
+def test_window_and_fft_paths_agree(monkeypatch, count):
+    axis = np.linspace(-0.6, 0.6, count)
+    field = _spinor_field(axis, axis)
+    pts = _plus_stencil(axis)
+    for z in CELL_Z:
+        got = []
+        for few in (True, False):
+            monkeypatch.setattr(greens, "_few_targets", lambda *_, few=few: few)
+            got.append(resolvent_apply(1.0, z, field, pts))
+        assert _rel(got[0], got[1]) <= 1e-14, z
+
+
+@pytest.mark.filterwarnings("ignore:evaluation point within one cell")
+def test_few_targets_skip_the_fft(monkeypatch):
+    axis = np.linspace(-0.6, 0.6, 61)
+    field = _spinor_field(axis, axis)
+    resolvent_apply(1.0, 0.5j, field, _plus_stencil(axis))  # builds the node plan
+    calls = []
+    fft2 = np.fft.fft2
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return fft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", spy)
+    resolvent_apply(1.0, 0.3 + 0.5j, field, _plus_stencil(axis))
+    assert calls == []
+    # a 7 x 7 block, 49 targets, is past the rule's 29 at 61^2, and so is
+    # the whole grid: three table transforms each
+    resolvent_apply(1.0, 0.3 + 0.5j, field, _block(axis, 3))
+    assert calls == [(125, 125)] * 3
+    resolvent_apply(1.0, 0.3 + 0.5j, field, _grid_points(field))
+    assert calls == [(125, 125)] * 6
+
+
+def test_few_targets_on_a_warm_field_stay_small():
+    axis = np.linspace(-0.6, 0.6, 61)
+    field = _spinor_field(axis, axis)
+    resolvent_apply(1.0, 0.5j, field, _plus_stencil(axis))
+    tracemalloc.start()
+    try:
+        resolvent_apply(1.0, 0.3 + 0.5j, field, _plus_stencil(axis))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 0.99 MB: the three entries on the 121^2 offsets, and no padded
+    # 125^2 arrays (1.76 MB through the FFT)
+    assert peak <= 1.2e6, peak
 
 
 def test_whole_grid_call_warns_once_with_its_count():
